@@ -44,6 +44,7 @@ from .operators import (
     verify_pair,
 )
 from .solvers import (
+    K_MAX,
     MONOPOLE_TOL,
     SolverError,
     effective_resistance,
@@ -477,12 +478,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, tol_default=1e-8):
-        p.add_argument("--kmax", type=int, default=30, help="maximum exhaustion level")
-        p.add_argument("--tol", type=float, default=tol_default, help="numerical tolerance")
-        p.add_argument("--seed", type=int, default=42, help="seed for randomized steps")
+    def common(p, seed=False, formats=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=42, help="seed for randomized steps")
         p.add_argument("--out", default=None, help="directory for artifacts")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def exhaustion(p):
+        p.add_argument("--kmax", type=int, default=K_MAX, help="maximum exhaustion level")
+        p.add_argument("--tol", type=float, default=MONOPOLE_TOL, help="energy tolerance")
 
     p = sub.add_parser("kernel", help="solve one energy-kernel element v_x")
     p.add_argument("--graph", required=True, help="graph JSON file")
@@ -494,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", required=True, choices=sorted(GENERATORS))
     p.add_argument("--param", action="append", type=_param, default=[], metavar="K=V")
     p.add_argument("--vertex", type=_label, default=None, help="default: the origin")
-    common(p, tol_default=MONOPOLE_TOL)
+    exhaustion(p)
+    common(p)
     p.set_defaults(func=cmd_monopole)
 
     p = sub.add_parser("royden", help="split a function into finite + harmonic parts")
@@ -522,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", required=True, choices=sorted(GENERATORS))
     p.add_argument("--param", action="append", type=_param, default=[], metavar="K=V")
     p.add_argument("--stride", type=int, default=1, help="sample every stride-th level")
-    common(p, tol_default=MONOPOLE_TOL)
+    exhaustion(p)
+    common(p)
     p.set_defaults(func=cmd_transience)
 
     p = sub.add_parser("friedrichs", help="extension of a coercive or semibounded operator")
@@ -535,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("krein", help="canonical operator of a second inner product")
     p.add_argument("--gram", required=True, help="first (positive definite) Gram JSON")
     p.add_argument("--gram2", required=True, help="second (positive semidefinite) Gram JSON")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_krein)
 
     p = sub.add_parser("spectral", help="atomic spectral measure of a vector")
@@ -552,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kl", help="the l2/energy symmetric pair of a network")
     p.add_argument("--graph", required=True)
-    common(p, tol_default=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help="pairing residual tolerance")
+    common(p)
     p.set_defaults(func=cmd_kl)
 
     p = sub.add_parser("cantor", help="witness constants for a singular pairing")
@@ -568,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity suite")
     p.add_argument("--suite", choices=verify.SUITES, default="all")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="write a graph JSON file")
@@ -585,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="wired truncation level of an unbounded rule",
     )
-    common(p)
+    common(p, seed=True, formats=False)
     p.set_defaults(func=cmd_generate)
 
     return parser

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,25 +47,16 @@ class GraphGenerator(abc.ABC):
         """All ``(neighbor, conductance)`` pairs at ``v``."""
 
 
-def truncate(generator: GraphGenerator, k: int) -> Network:
-    """Wired truncation of a generated graph at level ``k``.
-
-    Edges from ``G_k`` to the exterior are replaced by edges to one new
-    grounded vertex, conductances of parallel rewired edges summed.  If no
-    edge leaves ``G_k`` (the generator is exhausted) the plain induced
-    network is returned with no ground vertex.
-    """
-    if k < 1:
-        raise NetworkError(f"truncation level must be >= 1, got {k}")
-    if generator.max_level is not None and k > generator.max_level:
-        k = generator.max_level
+def _level_edges(generator: GraphGenerator, k: int) -> tuple[list, list, dict]:
+    """(G_k, the edges induced on G_k, conductance to the exterior per vertex
+    of G_k that has any); the last is empty when the generator is exhausted."""
     level = list(generator.level(k))
     inside = set(level)
     if generator.origin not in inside:
         raise NetworkError("origin is not contained in the level set")
 
     edges: list[tuple[object, object, float]] = []
-    ground_c: dict = {}
+    exterior: dict = {}
     done: set = set()
     for x in level:
         for y, c in generator.neighbors(x):
@@ -78,34 +69,29 @@ def truncate(generator: GraphGenerator, k: int) -> Network:
                 done.add(pair)
                 edges.append((x, y, c))
             else:
-                ground_c[x] = ground_c.get(x, 0.0) + c
-
-    if ground_c:
-        if GROUND in inside:
-            raise NetworkError("level set collides with the ground label")
-        for x, c in ground_c.items():
-            edges.append((x, GROUND, c))
-        return Network(edges, generator.origin, vertices=level + [GROUND], ground=GROUND)
-    return Network(edges, generator.origin, vertices=level)
+                exterior[x] = exterior.get(x, 0.0) + c
+    if exterior and GROUND in inside:
+        raise NetworkError("level set collides with the ground label")
+    return level, edges, exterior
 
 
-@dataclass(frozen=True)
-class Exhaustion:
-    """A generator together with the wired boundary convention.
+def truncate(generator: GraphGenerator, k: int) -> Network:
+    """Wired truncation of a generated graph at level ``k``.
 
-    The only supported boundary mode is "wired": the exterior of each level
-    is collapsed to a grounded vertex held at potential zero.
+    Edges from ``G_k`` to the exterior are replaced by edges to one new
+    grounded vertex, conductances of parallel rewired edges summed.  If no
+    edge leaves ``G_k`` (the generator is exhausted) the plain induced
+    network is returned with no ground vertex.
     """
-
-    generator: GraphGenerator
-    boundary_mode: str = "wired"
-
-    def __post_init__(self):
-        if self.boundary_mode != "wired":
-            raise NetworkError(f"unsupported boundary mode {self.boundary_mode!r}")
-
-    def truncation(self, k: int) -> Network:
-        return truncate(self.generator, k)
+    if k < 1:
+        raise NetworkError(f"truncation level must be >= 1, got {k}")
+    if generator.max_level is not None and k > generator.max_level:
+        k = generator.max_level
+    level, edges, exterior = _level_edges(generator, k)
+    if not exterior:
+        return Network(edges, generator.origin, vertices=level)
+    edges.extend((x, GROUND, c) for x, c in exterior.items())
+    return Network(edges, generator.origin, vertices=level + [GROUND], ground=GROUND)
 
 
 # -- concrete generator rules ----------------------------------------------
@@ -223,23 +209,6 @@ class IntegerLatticeGen(GraphGenerator):
 # -- finite builders -------------------------------------------------------
 
 
-def _induced(generator: GraphGenerator, k: int) -> Network:
-    """Induced (ungrounded) network on the level-k set of a generator."""
-    level = list(generator.level(k))
-    inside = set(level)
-    edges = []
-    done: set = set()
-    for x in level:
-        for y, c in generator.neighbors(x):
-            if y in inside:
-                pair = frozenset((x, y))
-                if pair in done:
-                    continue
-                done.add(pair)
-                edges.append((x, y, c))
-    return Network(edges, generator.origin, vertices=level)
-
-
 def path(n: int, conductance: float = 1.0) -> Network:
     """Path on vertices 0..n-1 with constant conductance, origin 0."""
     if n < 1:
@@ -262,21 +231,27 @@ def binary_tree(depth: int, conductance: float = 1.0) -> Network:
     """Finite rooted binary tree of the given depth, origin at the root."""
     if depth < 1:
         raise NetworkError(f"binary tree needs depth >= 1, got {depth}")
-    return _induced(BinaryTreeGen(conductance=conductance), depth)
+    gen = BinaryTreeGen(conductance=conductance)
+    level, edges, _ = _level_edges(gen, depth)
+    return Network(edges, gen.origin, vertices=level)
 
 
 def lattice(d: int, radius: int, conductance: float = 1.0) -> Network:
     """Graph ball of the given radius in the d-dimensional integer lattice."""
     if radius < 1:
         raise NetworkError(f"lattice ball needs radius >= 1, got {radius}")
-    return _induced(IntegerLatticeGen(d=d, conductance=conductance), radius)
+    gen = IntegerLatticeGen(d=d, conductance=conductance)
+    level, edges, _ = _level_edges(gen, radius)
+    return Network(edges, gen.origin, vertices=level)
 
 
 def geometric_line(ratio: float, n: int) -> Network:
     """First n vertices of the half line with c_{k,k+1} = ratio**k."""
     if n < 2:
         raise NetworkError(f"geometric line needs n >= 2 vertices, got {n}")
-    return _induced(GeometricLineGen(ratio=ratio), n)
+    gen = GeometricLineGen(ratio=ratio)
+    level, edges, _ = _level_edges(gen, n)
+    return Network(edges, gen.origin, vertices=level)
 
 
 def random_network(

@@ -214,21 +214,25 @@ def verify_pair(a: LinOp, b: LinOp, tol: float = 1e-10) -> SymmetricPairReport:
     )
 
 
+def _self_adjoint_form(space: InnerSpace, matrix: np.ndarray, tol: float, what: str):
+    """The symmetrized form G M of an operator on ``space``; raises ``what``
+    when G M is not symmetric within ``tol`` relative to its scale."""
+    s = space.matrix @ matrix
+    scale = 1.0 + float(np.abs(s).max(initial=0.0))
+    asym = float(np.max(np.abs(s - s.T), initial=0.0))
+    if asym > tol * scale:
+        raise OperatorError(f"{what}: asymmetry residual {asym:.3e}")
+    return _sym(s)
+
+
 def _self_adjoint_eigh(space: InnerSpace, matrix: np.ndarray, tol: float = 1e-10):
     """Eigen-decomposition of a Gram-self-adjoint operator.
 
     Returns (eigenvalues ascending, eigenvectors with V' G V = I); raises
     when G M is not symmetric within ``tol`` relative to its scale.
     """
-    s = space.matrix @ matrix
-    scale = 1.0 + float(np.abs(s).max(initial=0.0))
-    asym = float(np.max(np.abs(s - s.T), initial=0.0))
-    if asym > tol * scale:
-        raise OperatorError(
-            f"operator is not self-adjoint: asymmetry residual {asym:.3e}"
-        )
-    lam, vec = sla.eigh(_sym(s), space.matrix)
-    return lam, vec
+    form = _self_adjoint_form(space, matrix, tol, "operator is not self-adjoint")
+    return sla.eigh(form, space.matrix)
 
 
 def operator_norm(a: LinOp) -> float:
@@ -309,12 +313,7 @@ def friedrichs(
     """
     if not (a.domain.compatible(space) and a.codomain.compatible(space)):
         raise OperatorError("operator must act on the given space")
-    s = space.matrix @ a.matrix
-    scale = 1.0 + float(np.abs(s).max(initial=0.0))
-    asym = float(np.max(np.abs(s - s.T), initial=0.0))
-    if asym > tol * scale:
-        raise OperatorError(f"operator is not symmetric: asymmetry residual {asym:.3e}")
-    form = _sym(s)
+    form = _self_adjoint_form(space, a.matrix, tol, "operator is not symmetric")
     if check_coercive:
         lam = sla.eigh(form, space.matrix, eigvals_only=True)
         if float(lam[0]) < 1.0 - tol:
@@ -515,6 +514,17 @@ def spectral_measure(lam_op: LinOp, phi, tol: float = 1e-8) -> SpectralMeasure:
 # -- the network symmetric pair --------------------------------------------
 
 
+def _dirac_set(net: Network, dirac_set) -> list:
+    """The given Dirac labels, each checked to be a vertex, or by default
+    every non-ground vertex in table order."""
+    if dirac_set is None:
+        return [lbl for lbl in net.labels if net.ground is None or lbl != net.ground]
+    dirac_set = list(dirac_set)
+    for x in dirac_set:
+        net.index(x)
+    return dirac_set
+
+
 def dirac_spaces(net: Network, dirac_set=None) -> tuple[InnerSpace, GramMatrix]:
     """l2 space of Dirac masses and their energy Gram on one basis.
 
@@ -523,14 +533,7 @@ def dirac_spaces(net: Network, dirac_set=None) -> tuple[InnerSpace, GramMatrix]:
     Diracs, which reproduce the graph-Laplacian entries.  The default
     basis is every non-ground vertex in table order.
     """
-    if dirac_set is None:
-        dirac_set = [
-            lbl for lbl in net.labels if net.ground is None or lbl != net.ground
-        ]
-    else:
-        dirac_set = list(dirac_set)
-        for x in dirac_set:
-            net.index(x)
+    dirac_set = _dirac_set(net, dirac_set)
     deltas = [net.delta(x) for x in dirac_set]
     g1 = gram("l2", net, deltas, labels=dirac_set)
     g2 = gram("energy", net, deltas, labels=dirac_set)
@@ -547,12 +550,7 @@ def network_kl(net: Network, dirac_set=None, kernels=None) -> tuple[LinOp, LinOp
     present); otherwise they are solved here in one batch.  The returned
     operators always satisfy verify_pair; that postcondition is asserted.
     """
-    if dirac_set is None:
-        dirac_set = [
-            lbl for lbl in net.labels if net.ground is None or lbl != net.ground
-        ]
-    else:
-        dirac_set = list(dirac_set)
+    dirac_set = _dirac_set(net, dirac_set)
     if net.origin not in dirac_set:
         raise NetworkError("dirac set must contain the origin")
     kernel_set = [x for x in dirac_set if x != net.origin]
@@ -604,8 +602,5 @@ def krein_network_extension(k_op: LinOp, l_op: LinOp) -> tuple[LinOp, LinOp]:
     kk = adjoint(k_op) @ k_op
     ll = adjoint(l_op) @ l_op
     for op in (kk, ll):
-        s = op.domain.matrix @ op.matrix
-        scale = 1.0 + float(np.abs(s).max(initial=0.0))
-        if float(np.max(np.abs(s - s.T), initial=0.0)) > 1e-10 * scale:
-            raise OperatorError("extension lost self-adjointness")
+        _self_adjoint_form(op.domain, op.matrix, 1e-10, "extension lost self-adjointness")
     return kk, ll

@@ -19,6 +19,7 @@ reports record w(x) with w(ground) = 0, which equals the monopole energy).
 from __future__ import annotations
 
 import csv
+import math
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import EnergyVector, energy_form, energy_pairings, to_energy_vector
-from .generators import Exhaustion, GraphGenerator
+from .generators import GraphGenerator, truncate
 from .network import Network, NetworkError
 
 #: Largest reduced system handed to the direct sparse factorization.
@@ -183,7 +184,8 @@ class ConvergenceReport:
 
     ``levels`` holds ``(k, value, energy)`` rows with strictly increasing
     ``k``; a report with ``converged`` False is still returned in full,
-    callers decide what a partial run means.
+    callers decide what a partial run means.  ``extrapolated_limit`` is NaN
+    when the energies give no justified estimate of their limit.
     """
 
     levels: tuple
@@ -218,32 +220,71 @@ class ConvergenceReport:
                 writer.writerow([k, repr(v), repr(e)])
 
     def summary(self) -> dict:
+        limit = self.extrapolated_limit
         return {
             "levels": [list(row) for row in self.levels],
-            "extrapolated_limit": self.extrapolated_limit,
+            # JSON has no NaN: an unknown limit is written as null
+            "extrapolated_limit": limit if math.isfinite(limit) else None,
             "converged": self.converged,
             "tol": self.tol,
         }
 
 
 def _aitken(seq) -> float:
-    """Aitken delta-squared estimate of the limit of a sequence tail."""
+    """Aitken delta-squared estimate of the limit of a sequence tail; NaN
+    unless the last two increments shrink geometrically (ratio in [0, 1))."""
     if len(seq) < 3:
-        return float(seq[-1])
+        return math.nan
     e1, e2, e3 = (float(x) for x in seq[-3:])
-    denom = e3 - 2.0 * e2 + e1
-    if denom == 0.0 or not np.isfinite(denom):
-        return e3
-    extrap = e3 - (e3 - e2) ** 2 / denom
-    return extrap if np.isfinite(extrap) else e3
+    if e2 == e1 or not 0.0 <= (e3 - e2) / (e2 - e1) < 1.0:
+        return math.nan
+    return e3 - (e3 - e2) ** 2 / (e3 - 2.0 * e2 + e1)
 
 
-def _as_exhaustion(source) -> Exhaustion:
-    if isinstance(source, Exhaustion):
-        return source
-    if isinstance(source, GraphGenerator):
-        return Exhaustion(source)
-    raise NetworkError(f"expected an exhaustion or generator, got {type(source).__name__}")
+def _exhaust(generator, x, tol, k_max, stride=1, recurrence_ratio=math.inf):
+    """The level loop of :func:`solve_monopole` and :func:`transience_probe`
+    (which document its rows and verdicts) on levels 1, 1 + stride, ...
+    <= ``k_max``.  Returns (verdict, report, last truncation, its potential)."""
+    if not isinstance(generator, GraphGenerator):
+        raise NetworkError(f"expected a generator, got {type(generator).__name__}")
+    if not generator.unbounded or generator.max_level is not None:
+        raise SolverError("wired exhaustion requires an unbounded generator")
+    if k_max < 1:
+        raise NetworkError(f"k_max must be >= 1, got {k_max}")
+    if stride < 1:
+        raise NetworkError(f"stride must be >= 1, got {stride}")
+
+    rows = []
+    verdict = "inconclusive"
+    for k in range(1, k_max + 1, stride):
+        trunc = truncate(generator, k)
+        if trunc.ground is None:
+            raise SolverError("generator exhausted; finite networks carry no monopole")
+        if x not in trunc:
+            raise NetworkError(f"monopole vertex {x!r} must lie in the first level")
+        w = solve_grounded(trunc, trunc.delta(x))
+        rows.append((k, float(w[trunc.index(x)]), energy_form(trunc, w)))
+        if len(rows) >= 2:
+            if abs(rows[-1][2] - rows[-2][2]) <= tol:
+                verdict = "transient"
+                break
+            diffs = np.diff([r[1] for r in rows])
+            if (
+                len(diffs) >= 2
+                and rows[-1][1] > recurrence_ratio * rows[0][1]
+                and np.all(diffs > 0)
+                and diffs[-1] >= 0.99 * diffs[0]
+            ):
+                verdict = "recurrent"
+                break
+
+    report = ConvergenceReport(
+        levels=tuple(rows),
+        extrapolated_limit=_aitken([r[2] for r in rows]),
+        converged=(verdict == "transient"),
+        tol=tol,
+    )
+    return verdict, report, trunc, w
 
 
 def solve_monopole(
@@ -260,40 +301,7 @@ def solve_monopole(
     recurrent network the energies grow without bound and the report comes
     back with ``converged`` False.
     """
-    ex = _as_exhaustion(source)
-    if not ex.generator.unbounded or ex.generator.max_level is not None:
-        raise SolverError("monopoles require an unbounded generator")
-    if k_max < 1:
-        raise NetworkError(f"k_max must be >= 1, got {k_max}")
-    first = ex.truncation(1)
-    if x not in first:
-        raise NetworkError(f"monopole vertex {x!r} must lie in the first level")
-
-    rows = []
-    prev_energy = None
-    converged = False
-    w = None
-    trunc = None
-    for k in range(1, k_max + 1):
-        trunc = ex.truncation(k)
-        if trunc.ground is None:
-            raise SolverError("generator exhausted; finite networks carry no monopole")
-        w = solve_grounded(trunc, trunc.delta(x))
-        value = float(w[trunc.index(x)])
-        energy = energy_form(trunc, w)
-        rows.append((k, value, energy))
-        if prev_energy is not None and abs(energy - prev_energy) <= tol:
-            converged = True
-            break
-        prev_energy = energy
-
-    energies = [r[2] for r in rows]
-    report = ConvergenceReport(
-        levels=tuple(rows),
-        extrapolated_limit=_aitken(energies),
-        converged=converged,
-        tol=tol,
-    )
+    _, report, trunc, w = _exhaust(source, x, tol, k_max)
     return to_energy_vector(trunc, w), report
 
 
@@ -315,44 +323,9 @@ def transience_probe(
       first level with non-shrinking increments,
     - "inconclusive" otherwise (raise ``k_max`` or loosen ``tol``).
     """
-    ex = _as_exhaustion(source)
-    if not ex.generator.unbounded or ex.generator.max_level is not None:
-        raise SolverError("transience probe requires an unbounded generator")
-    if stride < 1:
-        raise NetworkError(f"stride must be >= 1, got {stride}")
-
-    rows = []
-    verdict = "inconclusive"
-    origin = ex.generator.origin
-    for k in range(1, k_max + 1, stride):
-        trunc = ex.truncation(k)
-        if trunc.ground is None:
-            raise SolverError("generator exhausted; probe needs unbounded levels")
-        w = solve_grounded(trunc, trunc.delta(origin))
-        value = float(w[trunc.origin_index])
-        energy = energy_form(trunc, w)
-        rows.append((k, value, energy))
-        if len(rows) >= 2:
-            if abs(rows[-1][2] - rows[-2][2]) <= tol:
-                verdict = "transient"
-                break
-            diffs = np.diff([r[1] for r in rows])
-            if (
-                len(diffs) >= 2
-                and rows[-1][1] > recurrence_ratio * rows[0][1]
-                and np.all(diffs > 0)
-                and diffs[-1] >= 0.99 * diffs[0]
-            ):
-                verdict = "recurrent"
-                break
-
-    energies = [r[2] for r in rows]
-    report = ConvergenceReport(
-        levels=tuple(rows),
-        extrapolated_limit=_aitken(energies),
-        converged=(verdict == "transient"),
-        tol=tol,
-    )
+    if not isinstance(source, GraphGenerator):
+        raise NetworkError(f"expected a generator, got {type(source).__name__}")
+    verdict, report, _, _ = _exhaust(source, source.origin, tol, k_max, stride, recurrence_ratio)
     return verdict, report
 
 

@@ -231,3 +231,17 @@ def test_usage_errors_exit_two(p3_file):
     with pytest.raises(SystemExit) as exc:
         main(["monopole", "--generator", "binary_tree", "--param", "oops"])
     assert exc.value.code == 2
+    # exhaustion and seed flags exist only on the verbs that read them
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--graph", str(p3_file), "--vertex", "a", "--kmax", "5"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--generator", "path", "--param", "n=3", "--format", "csv"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["monopole", "transience"])
+def test_kmax_below_one_is_runtime_error(verb, capsys):
+    rc = main([verb, "--generator", "binary_tree", "--kmax", "0"])
+    assert rc == 1
+    assert "error: k_max must be >= 1" in capsys.readouterr().err

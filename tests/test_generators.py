@@ -4,7 +4,6 @@ import pytest
 from netenergy import (
     GROUND,
     BinaryTreeGen,
-    Exhaustion,
     GeometricLineGen,
     IntegerLatticeGen,
     IntegerLineGen,
@@ -28,6 +27,7 @@ def test_tree_truncation_wires_boundary():
     assert net.edge_conductance("r0", GROUND) == 2.0
     assert net.edge_conductance("r1", GROUND) == 2.0
     assert net.edge_conductance("r", "r0") == 1.0
+    assert truncate(BinaryTreeGen(), 2).n == 7 + 1  # depth-2 tree plus the ground
 
 
 def test_line_truncation_wires_both_ends():
@@ -68,16 +68,36 @@ def test_geometric_ratio_validated():
         GeometricLineGen(ratio=0.0)
 
 
-def test_exhaustion_wraps_generator():
-    ex = Exhaustion(BinaryTreeGen())
-    assert ex.truncation(2).n == 7 + 1  # depth-2 tree plus the ground
-    with pytest.raises(NetworkError):
-        Exhaustion(BinaryTreeGen(), boundary_mode="free")
-
-
 def test_truncate_rejects_bad_level():
     with pytest.raises(NetworkError):
         truncate(BinaryTreeGen(), 0)
+
+
+def _edge_set(net, skip=None):
+    heads, tails, conds = net.edge_arrays
+    labels = net.labels
+    return {
+        (frozenset((labels[i], labels[j])), float(c))
+        for i, j, c in zip(heads, tails, conds)
+        if skip not in (labels[i], labels[j])
+    }
+
+
+@pytest.mark.parametrize(
+    "net, gen, k",
+    [
+        (binary_tree(4), BinaryTreeGen(), 4),
+        (lattice(2, 3), IntegerLatticeGen(d=2), 3),
+        (geometric_line(2.0, 6), GeometricLineGen(ratio=2.0), 6),
+    ],
+    ids=["binary_tree", "lattice", "geometric_line"],
+)
+def test_builders_are_truncations_without_ground(net, gen, k):
+    wired = truncate(gen, k)
+    assert net.ground is None and wired.ground == GROUND
+    assert net.labels + (GROUND,) == wired.labels
+    assert net.origin == wired.origin
+    assert _edge_set(net) == _edge_set(wired, skip=GROUND)
 
 
 def test_finite_builders():

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from netenergy import (
     transience_probe,
     truncate,
 )
+from netenergy.solvers import _aitken
 
 
 def test_dipole_hand_values(p3):
@@ -114,6 +118,45 @@ def test_monopole_on_summable_line():
 def test_monopole_vertex_must_be_inside():
     with pytest.raises(NetworkError, match="first level"):
         solve_monopole(GeometricLineGen(ratio=2.0), 99, tol=1e-6, k_max=5)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda src, k: solve_monopole(src, 0, k_max=k),
+        lambda src, k: transience_probe(src, k_max=k),
+    ],
+    ids=["monopole", "probe"],
+)
+def test_exhaustion_rejects_bad_input(run):
+    with pytest.raises(NetworkError, match="k_max must be >= 1"):
+        run(GeometricLineGen(ratio=2.0), 0)
+    with pytest.raises(NetworkError, match="expected a generator"):
+        run(path(3), 5)
+
+
+def test_monopole_at_origin_matches_probe():
+    _, mono = solve_monopole(BinaryTreeGen(), "r", tol=1e-3, k_max=8)
+    _, probe = transience_probe(BinaryTreeGen(), tol=1e-3, k_max=8)
+    assert mono.summary() == probe.summary()
+
+
+def test_extrapolation_needs_shrinking_increments():
+    assert _aitken([1.0, 1.5, 1.75]) == pytest.approx(2.0)
+    assert _aitken([1.0, 2.0, 2.0]) == 2.0  # stopped moving
+    for seq in ([1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 3.0, 7.0], [2.0, 2.0, 3.0]):
+        assert math.isnan(_aitken(seq))
+
+
+def test_diverging_energies_have_no_limit():
+    # energies 1, 3, 7, ... grow geometrically: Aitken would report -1
+    _, report = solve_monopole(GeometricLineGen(ratio=0.5), 0, k_max=6)
+    assert not report.converged
+    assert math.isnan(report.extrapolated_limit)
+    assert "null" in json.dumps(report.summary())
+    verdict, report = transience_probe(GeometricLineGen(ratio=0.5), k_max=6)
+    assert verdict == "inconclusive"
+    assert math.isnan(report.extrapolated_limit)
 
 
 def test_transience_verdicts():
