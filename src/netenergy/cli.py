@@ -25,11 +25,12 @@ from . import generators, measures, verify
 from .energy import to_energy_vector
 from .network import (
     NetworkError,
+    function_to_json,
     label_key,
     load_function,
     load_network,
     network_to_json,
-    save_network,
+    read_json,
 )
 from .operators import (
     InnerSpace,
@@ -118,11 +119,7 @@ def _make_generator(name: str, params: dict):
 
 def _load_matrix(path):
     """Matrix file: JSON ``[[...]]`` or ``{"labels": [...], "matrix": [[...]]}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise OperatorError(f"invalid matrix JSON in {path}: {exc}") from exc
+    doc = read_json(path, "matrix", OperatorError)
     if isinstance(doc, dict) and "matrix" in doc:
         labels = doc.get("labels")
         matrix = np.asarray(doc["matrix"], dtype=float)
@@ -137,23 +134,16 @@ def _load_matrix(path):
 
 
 def _load_measure(path) -> measures.DiscreteMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid measure JSON in {path}: {exc}") from exc
-    return measures.DiscreteMeasure.from_json(doc)
+    return measures.DiscreteMeasure.from_json(read_json(path, "measure", ValueError))
 
 
-# -- artifact writers ------------------------------------------------------
-
-
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# -- artifacts -------------------------------------------------------------
+#
+# A verb hands ``_emit`` a mapping ``{stem: (doc, table)}``: ``doc()`` builds
+# the JSON document and ``table()`` the CSV ``(header, rows)``; the csv
+# module writes floats at full round-trip precision.  Both are called only
+# when their artifact is written, one artifact at a time, so a verb with
+# several large artifacts never holds more than one in memory.
 
 
 def _write_json(path: Path, doc) -> None:
@@ -162,32 +152,55 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _emit(args, stem: str, doc, csv_writer=None) -> None:
-    """Write one artifact (or print the JSON payload when --out is absent)."""
-    out = _out_dir(args)
-    if out is None:
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+def _emit(args, artifacts: dict, echo: bool = True) -> None:
+    """Write each artifact into ``--out`` as JSON or CSV (``--format``).
+
+    Without ``--out`` the documents are printed to stdout as JSON (a lone
+    document as itself, several as an object keyed by stem) unless ``echo``
+    is False.
+    """
+    if args.out is None:
+        if echo:
+            docs = {stem: doc() for stem, (doc, _) in artifacts.items()}
+            payload = docs.popitem()[1] if len(docs) == 1 else docs
+            json.dump(payload, sys.stdout, indent=2)
+            sys.stdout.write("\n")
         return
-    if args.format == "csv" and csv_writer is not None:
-        path = out / f"{stem}.csv"
-        csv_writer(path)
-    else:
-        path = out / f"{stem}.json"
-        _write_json(path, doc)
-    print(f"wrote {path}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for stem, (doc, table) in artifacts.items():
+        if args.format == "csv":
+            path = out / f"{stem}.csv"
+            header, rows = table()
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        else:
+            path = out / f"{stem}.json"
+            _write_json(path, doc())
+        print(f"wrote {path}")
 
 
-def _function_csv(path, net, values) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "value"])
-        for lbl, val in zip(net.labels, values):
-            writer.writerow([label_key(lbl), repr(float(val))])
+def _matrix_table(op: LinOp) -> tuple:
+    """Operator matrix with codomain labels down and domain labels across."""
+    header = [""] + [str(lbl) for lbl in op.domain.labels]
+    rows = ([str(lbl)] + row.tolist() for lbl, row in zip(op.codomain.labels, op.matrix))
+    return header, rows
 
 
-def _function_doc(net, values) -> dict:
-    return {label_key(lbl): float(v) for lbl, v in zip(net.labels, values)}
+def _levels_table(report) -> tuple:
+    return ["level", "value", "energy"], report.levels
+
+
+def _vertex_table(net, **columns) -> tuple:
+    """Vertex functions side by side, one row per vertex key."""
+    docs = [function_to_json(net, values) for values in columns.values()]
+    return ["vertex", *columns], ([key] + [d[key] for d in docs] for key in docs[0])
+
+
+def _operator_artifact(op: LinOp) -> tuple:
+    return op.to_json, lambda: _matrix_table(op)
 
 
 # -- verbs -----------------------------------------------------------------
@@ -200,10 +213,10 @@ def cmd_kernel(args) -> int:
     doc = {
         "vertex": label_key(args.vertex),
         "energy": v.energy,
-        "values": _function_doc(net, v.values),
+        "values": function_to_json(net, v.values),
     }
     stem = f"kernel_{label_key(args.vertex)}"
-    _emit(args, stem, doc, lambda p: _function_csv(p, net, v.values))
+    _emit(args, {stem: (lambda: doc, lambda: _vertex_table(net, value=v.values))})
     return 0
 
 
@@ -219,7 +232,7 @@ def cmd_monopole(args) -> int:
     )
     doc = report.summary()
     doc["vertex"] = label_key(vertex)
-    _emit(args, "monopole_report", doc, report.to_csv)
+    _emit(args, {"monopole_report": (lambda: doc, lambda: _levels_table(report))})
     return 0
 
 
@@ -237,18 +250,11 @@ def cmd_royden(args) -> int:
         "finite_energy": fin.energy,
         "harmonic_energy": harm.energy,
         "cross_inner": cross,
-        "finite": _function_doc(net, fin.values),
-        "harmonic": _function_doc(net, harm.values),
+        "finite": function_to_json(net, fin.values),
+        "harmonic": function_to_json(net, harm.values),
     }
-
-    def write_csv(path):
-        base = Path(path)
-        fin_path = base.with_name(base.stem + "_finite.csv")
-        harm_path = base.with_name(base.stem + "_harmonic.csv")
-        _function_csv(fin_path, net, fin.values)
-        _function_csv(harm_path, net, harm.values)
-
-    _emit(args, "royden", doc, write_csv)
+    columns = {"finite": fin.values, "harmonic": harm.values}
+    _emit(args, {"royden": (lambda: doc, lambda: _vertex_table(net, **columns))})
     return 0
 
 
@@ -261,14 +267,7 @@ def cmd_resistance(args) -> int:
         "target": label_key(args.target),
         "resistance": r,
     }
-
-    def write_csv(path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source", "target", "resistance"])
-            writer.writerow([doc["source"], doc["target"], repr(r)])
-
-    _emit(args, "resistance", doc, write_csv)
+    _emit(args, {"resistance": (lambda: doc, lambda: (list(doc), [list(doc.values())]))})
     return 0
 
 
@@ -283,7 +282,7 @@ def cmd_transience(args) -> int:
     )
     doc = report.summary()
     doc["verdict"] = verdict
-    _emit(args, "transience_report", doc, report.to_csv)
+    _emit(args, {"transience_report": (lambda: doc, lambda: _levels_table(report))})
     return 0
 
 
@@ -298,7 +297,7 @@ def cmd_friedrichs(args) -> int:
         ext = semibounded_friedrichs(space, a, c=args.bound)
     defect = float(np.max(np.abs(ext.matrix - a.matrix)))
     print(f"extension of a {space.dim}x{space.dim} operator: max |ext - A| = {defect:.3e}")
-    _emit(args, "friedrichs_extension", ext.to_json(), ext.to_csv)
+    _emit(args, {"friedrichs_extension": _operator_artifact(ext)})
     return 0
 
 
@@ -315,7 +314,7 @@ def cmd_krein(args) -> int:
         f"canonical operator on dim {h1.dim}: "
         f"<phi, Lambda phi>_1 = {lhs:.12g}, |phi|_2^2 = {rhs:.12g}"
     )
-    _emit(args, "krein_lambda", lam.to_json(), lam.to_csv)
+    _emit(args, {"krein_lambda": _operator_artifact(lam)})
     return 0
 
 
@@ -339,15 +338,8 @@ def cmd_spectral(args) -> int:
         f"mass {mu.mass():.12g} (|phi|_1^2 = {h1.inner(phi, phi):.12g}), "
         f"moment {mu.first_moment():.12g} (|phi|_2^2 = {float(phi @ g2 @ phi):.12g})"
     )
-
-    def write_csv(path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eigenvalue", "weight"])
-            for eig, weight in mu.atoms:
-                writer.writerow([repr(eig), repr(weight)])
-
-    _emit(args, "spectral_measure", mu.to_json(), write_csv)
+    table = (["eigenvalue", "weight"], mu.atoms)
+    _emit(args, {"spectral_measure": (mu.to_json, lambda: table)})
     return 0
 
 
@@ -361,20 +353,8 @@ def cmd_kl(args) -> int:
         f"{report.residual:.3e} (tol {args.tol:.1e}), "
         f"is_pair={report.is_pair}"
     )
-    out = _out_dir(args)
-    if out is None:
-        doc = {"K": k_op.to_json(), "L": l_op.to_json(), "KK": kk.to_json(), "LL": ll.to_json()}
-        json.dump(doc, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        return 0 if report.is_pair else 1
-    for stem, op in (("kl_k", k_op), ("kl_l", l_op), ("kl_kk", kk), ("kl_ll", ll)):
-        if args.format == "csv":
-            path = out / f"{stem}.csv"
-            op.to_csv(path)
-        else:
-            path = out / f"{stem}.json"
-            _write_json(path, op.to_json())
-        print(f"wrote {path}")
+    ops = {"kl_k": k_op, "kl_l": l_op, "kl_kk": kk, "kl_ll": ll}
+    _emit(args, {stem: _operator_artifact(op) for stem, op in ops.items()})
     return 0 if report.is_pair else 1
 
 
@@ -386,7 +366,8 @@ def cmd_cantor(args) -> int:
         f"(predicted {predicted:.12g})"
     )
     doc = {"rows": [list(row) for row in report.rows]}
-    _emit(args, "cantor_report", doc, report.to_csv)
+    table = (["level", "constant", "predicted"], report.rows)
+    _emit(args, {"cantor_report": (lambda: doc, lambda: table)})
     return 0
 
 
@@ -399,7 +380,7 @@ def cmd_rn(args) -> int:
         f"density operator on {len(mu1.points)} points: "
         f"diagonal range [{diag.min():.12g}, {diag.max():.12g}]"
     )
-    _emit(args, "rn_lambda", lam.to_json(), lam.to_csv)
+    _emit(args, {"rn_lambda": _operator_artifact(lam)})
     return 0
 
 
@@ -414,23 +395,10 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "checks": [r.to_json() for r in results],
     }
-
-    def write_csv(path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check_id", "passed", "residual", "tolerance"])
-            for r in results:
-                writer.writerow([r.check_id, r.passed, repr(r.residual), repr(r.tolerance)])
-
-    out = _out_dir(args)
-    if out is not None:
-        if args.format == "csv":
-            path = out / "verify_report.csv"
-            write_csv(path)
-        else:
-            path = out / "verify_report.json"
-            _write_json(path, doc)
-        print(f"wrote {path}")
+    rows = [[r.check_id, r.passed, r.residual, r.tolerance] for r in results]
+    table = (["check_id", "passed", "residual", "tolerance"], rows)
+    # the check lines above are verify's stdout report
+    _emit(args, {"verify_report": (lambda: doc, lambda: table)}, echo=False)
     return 1 if failures else 0
 
 
@@ -448,7 +416,6 @@ def cmd_generate(args) -> int:
         builder = BUILDERS[args.generator]
         try:
             if args.generator == "random":
-                params.pop("seed", None)
                 net = builder(seed=args.seed, **params)
             else:
                 net = builder(**params)
@@ -457,14 +424,7 @@ def cmd_generate(args) -> int:
                 f"bad parameters for builder {args.generator!r}: {exc}"
             ) from None
     print(f"generated {net!r}")
-    out = _out_dir(args)
-    if out is None:
-        json.dump(network_to_json(net), sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        path = out / f"{args.generator}.json"
-        save_network(net, path)
-        print(f"wrote {path}")
+    _emit(args, {args.generator: (lambda: network_to_json(net), None)})
     return 0
 
 
@@ -484,6 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="directory for artifacts")
         if formats:
             p.add_argument("--format", choices=("json", "csv"), default="json")
+        else:
+            p.set_defaults(format="json")
 
     def exhaustion(p):
         p.add_argument("--kmax", type=int, default=K_MAX, help="maximum exhaustion level")

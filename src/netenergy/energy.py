@@ -18,7 +18,6 @@ representatives exactly as given.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,13 +128,6 @@ class GramMatrix:
             return True
         except np.linalg.LinAlgError:
             return False
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + [str(l) for l in self.labels])
-            for lbl, row in zip(self.labels, self.matrix):
-                writer.writerow([str(lbl)] + [repr(float(x)) for x in row])
 
 
 def gram(space_kind: str, net: Network, vectors, labels=None) -> GramMatrix:

@@ -15,7 +15,6 @@ finite-scale shadow of a pairing with no absolutely continuous limit.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -141,13 +140,6 @@ class CantorWitnessReport:
             "rows",
             tuple((int(n), float(m), float(p)) for n, m, p in self.rows),
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "constant", "predicted"])
-            for n, measured, predicted in self.rows:
-                writer.writerow([n, repr(measured), repr(predicted)])
 
     def log_slope(self, min_level: int = 2) -> float:
         """Least-squares slope of log C_n against n from ``min_level`` up."""

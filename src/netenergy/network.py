@@ -289,6 +289,22 @@ def is_harmonic(net: Network, u, tol: float = 1e-10, boundary=()) -> bool:
 # -- graph file format -----------------------------------------------------
 
 
+def read_json(path, kind: str, error: type[Exception]):
+    """Parse the JSON file at ``path``; bad JSON raises ``error`` naming the
+    path and what the file should hold (``kind``)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise error(f"invalid {kind} JSON in {path}: {exc}") from exc
+
+
+def _save_json(doc, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _label_from_json(value):
     return tuple(value) if isinstance(value, list) else value
 
@@ -331,18 +347,11 @@ def network_from_json(doc: Mapping) -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_json(net), fh, indent=2)
-        fh.write("\n")
+    _save_json(network_to_json(net), path)
 
 
 def load_network(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise NetworkError(f"invalid graph JSON in {path}: {exc}") from exc
-    return network_from_json(doc)
+    return network_from_json(read_json(path, "graph", NetworkError))
 
 
 def function_to_json(net: Network, u) -> dict:
@@ -355,6 +364,10 @@ def function_to_json(net: Network, u) -> dict:
 
 
 def function_from_json(net: Network, doc: Mapping) -> np.ndarray:
+    if not isinstance(doc, Mapping):
+        raise NetworkError(
+            f"function document must map vertex keys to values, got {type(doc).__name__}"
+        )
     by_key = {label_key(lbl): i for i, lbl in enumerate(net.labels)}
     vals = np.empty(net.n)
     filled = np.zeros(net.n, dtype=bool)
@@ -370,12 +383,8 @@ def function_from_json(net: Network, doc: Mapping) -> np.ndarray:
 
 
 def save_function(net: Network, u, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(function_to_json(net, u), fh, indent=2)
-        fh.write("\n")
+    _save_json(function_to_json(net, u), path)
 
 
 def load_function(net: Network, path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return function_from_json(net, doc)
+    return function_from_json(net, read_json(path, "function", NetworkError))

@@ -21,8 +21,6 @@ is an actual check of the calculus.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -149,13 +147,6 @@ class LinOp:
             raise OperatorError("symmetry defect needs domain == codomain")
         s = self.domain.matrix @ self.matrix
         return float(np.max(np.abs(s - s.T), initial=0.0))
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([""] + [str(l) for l in self.domain.labels])
-            for lbl, row in zip(self.codomain.labels, self.matrix):
-                writer.writerow([str(lbl)] + [repr(float(x)) for x in row])
 
     def to_json(self) -> dict:
         return {
@@ -296,30 +287,24 @@ def _extension_from_form(space: InnerSpace, form: np.ndarray) -> LinOp:
     return LinOp(domain=space, codomain=space, matrix=inv)
 
 
-def friedrichs(
-    space: InnerSpace,
-    a: LinOp,
-    check_coercive: bool = True,
-    tol: float = 1e-10,
-) -> LinOp:
+def friedrichs(space: InnerSpace, a: LinOp, tol: float = 1e-10) -> LinOp:
     """Friedrichs extension of a symmetric coercive operator.
 
-    Requires <phi, A phi> >= <phi, phi> (checked through the smallest
-    generalized eigenvalue unless ``check_coercive`` is False).  On a
-    finite-dimensional domain the extension agrees with A itself; the value
-    of the construction is that it goes through the form space and the
-    inclusion adjoint, so the fixed-point identity JJ* A phi = phi is an
-    actual consistency check, asserted before returning.
+    Requires <phi, A phi> >= <phi, phi>, checked through the smallest
+    generalized eigenvalue.  On a finite-dimensional domain the extension
+    agrees with A itself; the value of the construction is that it goes
+    through the form space and the inclusion adjoint, so the fixed-point
+    identity JJ* A phi = phi is an actual consistency check, asserted
+    before returning.
     """
     if not (a.domain.compatible(space) and a.codomain.compatible(space)):
         raise OperatorError("operator must act on the given space")
     form = _self_adjoint_form(space, a.matrix, tol, "operator is not symmetric")
-    if check_coercive:
-        lam = sla.eigh(form, space.matrix, eigvals_only=True)
-        if float(lam[0]) < 1.0 - tol:
-            raise CoercivityError(
-                f"form is not coercive: smallest form eigenvalue {float(lam[0]):.12g} < 1"
-            )
+    lam = sla.eigh(form, space.matrix, eigvals_only=True)
+    if float(lam[0]) < 1.0 - tol:
+        raise CoercivityError(
+            f"form is not coercive: smallest form eigenvalue {float(lam[0]):.12g} < 1"
+        )
     ext = _extension_from_form(space, form)
     jj_star_inv_defect = np.max(
         np.abs(np.linalg.solve(ext.matrix, a.matrix) - np.eye(space.dim))
@@ -356,7 +341,7 @@ def semibounded_friedrichs(
         codomain=space,
         matrix=a.matrix + shift * np.eye(space.dim),
     )
-    ext = friedrichs(space, shifted, check_coercive=True, tol=tol)
+    ext = friedrichs(space, shifted, tol=tol)
     return LinOp(
         domain=space,
         codomain=space,
@@ -481,11 +466,6 @@ class SpectralMeasure:
 
     def to_json(self) -> list:
         return [{"eigenvalue": l, "weight": w} for l, w in self.atoms]
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
 
 
 def spectral_measure(lam_op: LinOp, phi, tol: float = 1e-8) -> SpectralMeasure:

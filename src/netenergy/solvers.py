@@ -18,7 +18,6 @@ reports record w(x) with w(ground) = 0, which equals the monopole energy).
 
 from __future__ import annotations
 
-import csv
 import math
 import weakref
 from collections.abc import Mapping
@@ -211,13 +210,6 @@ class ConvergenceReport:
     @property
     def ks(self) -> np.ndarray:
         return np.array([row[0] for row in self.levels], dtype=int)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "value", "energy"])
-            for k, v, e in self.levels:
-                writer.writerow([k, repr(v), repr(e)])
 
     def summary(self) -> dict:
         limit = self.extrapolated_limit

@@ -1,4 +1,7 @@
+import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,3 +248,141 @@ def test_kmax_below_one_is_runtime_error(verb, capsys):
     rc = main([verb, "--generator", "binary_tree", "--kmax", "0"])
     assert rc == 1
     assert "error: k_max must be >= 1" in capsys.readouterr().err
+
+
+# -- artifacts: one test over every verb that takes --format ---------------
+
+
+def _readme_artifacts() -> dict:
+    """verb -> (stems, CSV header cell) from the README's artifact table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for verb, stems, header in re.findall(r"^\| `(\w+)` \| (.+?) \| (.+?) \|$", text, re.M):
+        table[verb] = (re.findall(r"`([^`]+)`", stems), header)
+    return table
+
+
+README_ARTIFACTS = _readme_artifacts()
+
+
+@pytest.fixture
+def inputs(tmp_path, p3_file, p3):
+    files = {"graph": p3_file}
+    save_function(p3, [0.0, 1.0, 3.0], tmp_path / "u.json")
+    files["function"] = tmp_path / "u.json"
+    gram = {"labels": ["x", "y"], "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+    files["gram"] = _write_json(tmp_path, "g1.json", gram)
+    files["gram2"] = _write_json(tmp_path, "g2.json", [[2.0, 0.5], [0.5, 3.0]])
+    files["operator"] = _write_json(tmp_path, "a.json", [[2.0, 0.0], [0.0, 5.0]])
+    files["mu1"] = _write_json(tmp_path, "mu1.json", {"points": [1, 2], "weights": [0.5, 0.5]})
+    files["mu2"] = _write_json(tmp_path, "mu2.json", {"points": [1, 2], "weights": [2.0, 4.5]})
+    return {k: str(v) for k, v in files.items()}
+
+
+FORMAT_VERBS = {
+    "kernel": lambda f: ["--graph", f["graph"], "--vertex", "a"],
+    "monopole": lambda f: ["--generator", "geometric_line", "--param", "ratio=2", "--kmax", "6"],
+    "royden": lambda f: ["--graph", f["graph"], "--function", f["function"], "--boundary", "o",
+                         "--boundary", "b"],
+    "resistance": lambda f: ["--graph", f["graph"], "--source", "o", "--target", "b"],
+    "transience": lambda f: ["--generator", "binary_tree", "--kmax", "4"],
+    "friedrichs": lambda f: ["--gram", f["gram"], "--operator", f["operator"]],
+    "krein": lambda f: ["--gram", f["gram"], "--gram2", f["gram2"]],
+    "spectral": lambda f: ["--gram", f["gram"], "--gram2", f["gram2"]],
+    "kl": lambda f: ["--graph", f["graph"]],
+    "cantor": lambda f: ["--level", "3"],
+    "rn": lambda f: ["--mu1", f["mu1"], "--mu2", f["mu2"]],
+    "verify": lambda f: ["--suite", "measures"],
+}
+
+
+def test_readme_lists_every_verb():
+    assert set(README_ARTIFACTS) == set(FORMAT_VERBS) | {"generate"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("verb", sorted(FORMAT_VERBS))
+def test_artifacts_match_printed_paths_and_readme(verb, fmt, inputs, tmp_path, capsys):
+    out = tmp_path / "arts"
+    rc = main([verb, *FORMAT_VERBS[verb](inputs), "--out", str(out), "--format", fmt])
+    assert rc == 0
+    printed = re.findall(r"^wrote (.+)$", capsys.readouterr().out, re.M)
+    written = sorted(str(path) for path in out.iterdir())
+    assert sorted(printed) == written
+    stems, header = README_ARTIFACTS[verb]
+    stems = [stem.replace("<vertex>", "a") for stem in stems]
+    assert written == sorted(str(out / f"{stem}.{fmt}") for stem in stems)
+    for path in written:
+        if fmt == "json":
+            json.loads(Path(path).read_text())
+            continue
+        with open(path, newline="") as fh:
+            first = next(csv.reader(fh))
+        if header.startswith("`,`"):  # an operator table: labels across
+            assert first[0] == "" and len(first) > 1
+        else:
+            assert ",".join(first) == header.strip("`")
+
+
+def test_royden_csv_is_one_table(p3_file, p3, tmp_path):
+    fn = tmp_path / "u.json"
+    save_function(p3, [0.0, 1.0, 3.0], fn)
+    base = ["royden", "--graph", str(p3_file), "--function", str(fn), "--boundary", "o",
+            "--boundary", "b"]
+    assert main(base + ["--out", str(tmp_path / "j")]) == 0
+    assert main(base + ["--out", str(tmp_path / "c"), "--format", "csv"]) == 0
+    doc = json.loads((tmp_path / "j" / "royden.json").read_text())
+    with open(tmp_path / "c" / "royden.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["vertex", "finite", "harmonic"]
+    for key, fin, harm in rows[1:]:
+        assert float(fin) == doc["finite"][key]
+        assert float(harm) == doc["harmonic"][key]
+    assert len(rows) == 4
+
+
+def test_colliding_vertex_keys_are_refused(tmp_path, capsys):
+    net = Network([((1, 2), "1,2", 1.0), ("1,2", "o", 1.0)], origin="o")
+    graph = tmp_path / "g.json"
+    save_network(net, graph)
+    for extra in ([], ["--out", str(tmp_path / "arts")]):
+        rc = main(["kernel", "--graph", str(graph), "--vertex", "o", *extra])
+        assert rc == 1
+        assert "error: vertex labels collide" in capsys.readouterr().err
+    assert not (tmp_path / "arts").exists()
+
+
+def test_non_object_function_file_is_runtime_error(p3_file, tmp_path, capsys):
+    fn = _write_json(tmp_path, "f.json", [1, 2, 3])
+    rc = main(["royden", "--graph", str(p3_file), "--function", str(fn)])
+    assert rc == 1
+    assert "error: function document must map vertex keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, flag, kind",
+    [
+        ("royden", "--function", "function"),
+        ("friedrichs", "--operator", "matrix"),
+        ("rn", "--mu2", "measure"),
+        ("resistance", "--graph", "graph"),
+    ],
+)
+def test_bad_json_names_the_file(verb, flag, kind, inputs, tmp_path, capsys):
+    bad = tmp_path / "broken.json"
+    bad.write_text("{not json")
+    argv = FORMAT_VERBS[verb](inputs)
+    argv[argv.index(flag) + 1] = str(bad)
+    rc = main([verb, *argv])
+    assert rc == 1
+    assert f"error: invalid {kind} JSON in {bad}" in capsys.readouterr().err
+
+
+def test_generate_seed_comes_only_from_the_flag(tmp_path, capsys):
+    base = ["generate", "--generator", "random", "--param", "n=6"]
+    assert main(base + ["--param", "seed=7"]) == 1
+    assert "error: bad parameters for builder 'random'" in capsys.readouterr().err
+    assert main(base + ["--seed", "7", "--out", str(tmp_path / "seven")]) == 0
+    assert main(base + ["--out", str(tmp_path / "default")]) == 0
+    seven = (tmp_path / "seven" / "random.json").read_text()
+    assert seven != (tmp_path / "default" / "random.json").read_text()

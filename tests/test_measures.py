@@ -86,15 +86,10 @@ def test_cantor_witness_closed_form():
         assert constant == pytest.approx(predicted, abs=1e-8)
 
 
-def test_cantor_witness_log_slope_and_csv(tmp_path):
+def test_cantor_witness_log_slope():
     _, report = cantor_witness(8)
     slope = report.log_slope(min_level=2)
     assert slope == pytest.approx(0.5 * math.log(1.5), rel=1e-6)
-    out = tmp_path / "witness.csv"
-    report.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "level,constant,predicted"
-    assert len(lines) == 10
 
 
 def test_cantor_witness_level_bounds():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ def test_function_json_missing_vertex(p3):
         function_from_json(p3, {"o": 0.0, "a": 1.0})
     with pytest.raises(NetworkError, match="unknown"):
         function_from_json(p3, {"o": 0.0, "a": 1.0, "b": 2.0, "zz": 9.0})
+    with pytest.raises(NetworkError, match="must map vertex keys"):
+        function_from_json(p3, [0.0, 1.0, 2.0])
+
+
+def test_function_json_refuses_colliding_keys():
+    net = Network([((1, 2), "1,2", 1.0), ("1,2", "o", 1.0)], origin="o")
+    with pytest.raises(NetworkError, match="collide"):
+        function_to_json(net, np.zeros(3))
+
+
+def test_bad_json_file_names_its_path(tmp_path, p3):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2")
+    with pytest.raises(NetworkError, match=re.escape(f"invalid graph JSON in {bad}")):
+        load_network(bad)
+    with pytest.raises(NetworkError, match=re.escape(f"invalid function JSON in {bad}")):
+        load_function(p3, bad)
+    bad.write_bytes(b'{"o": \xff}')
+    with pytest.raises(NetworkError, match=re.escape(f"invalid graph JSON in {bad}")):
+        load_network(bad)
 
 
 def test_is_harmonic_on_path():

@@ -206,14 +206,11 @@ def test_spectral_measure_diagonal():
     assert single.first_moment() == pytest.approx(2.0)
 
 
-def test_spectral_measure_json(tmp_path):
+def test_spectral_measure_json():
     h1 = InnerSpace.standard(2)
     mu = spectral_measure(krein_lambda(h1, np.eye(2)), [1.0, 2.0])
     doc = mu.to_json()
     assert doc[0]["eigenvalue"] == pytest.approx(1.0)
-    out = tmp_path / "mu.json"
-    mu.save(out)
-    assert out.exists()
     assert mu.mass() == pytest.approx(5.0)
 
 
@@ -273,11 +270,9 @@ def test_network_kl_accepts_precomputed_kernels(p3):
         network_kl(p3, kernels={"a": kernels["a"]})
 
 
-def test_linop_serialization(tmp_path):
+def test_linop_serialization():
     h = InnerSpace.standard(2, labels=("u", "v"))
     op = LinOp(domain=h, codomain=h, matrix=np.array([[1.0, 2.0], [3.0, 4.0]]))
     doc = op.to_json()
     assert doc["matrix"] == [[1.0, 2.0], [3.0, 4.0]]
-    path = tmp_path / "op.csv"
-    op.to_csv(path)
-    assert path.read_text().strip().splitlines()[0]
+    assert doc["domain_labels"] == doc["codomain_labels"] == ["u", "v"]

@@ -172,7 +172,7 @@ def test_transience_verdicts():
     assert verdict == "inconclusive"
 
 
-def test_convergence_report_contract(tmp_path):
+def test_convergence_report_contract():
     report = ConvergenceReport(
         levels=((1, 0.5, 0.5), (2, 0.75, 0.75)),
         extrapolated_limit=1.0,
@@ -180,11 +180,6 @@ def test_convergence_report_contract(tmp_path):
         tol=1e-6,
     )
     assert report.summary()["extrapolated_limit"] == 1.0
-    out = tmp_path / "report.csv"
-    report.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "level,value,energy"
-    assert len(lines) == 3
     with pytest.raises(ValueError, match="increasing"):
         ConvergenceReport(
             levels=((2, 0.5, 0.5), (1, 0.7, 0.7)),
