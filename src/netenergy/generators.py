@@ -17,7 +17,7 @@ condition.
 from __future__ import annotations
 
 import abc
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,35 +44,60 @@ class GraphGenerator(abc.ABC):
 
     @abc.abstractmethod
     def neighbors(self, v) -> list[tuple[object, float]]:
-        """All ``(neighbor, conductance)`` pairs at ``v``."""
+        """All ``(neighbor, conductance)`` pairs at ``v``.  The rule must be
+        symmetric: ``w`` lists ``v`` with the conductance ``v`` lists ``w``
+        with (to relative 1e-12), and no neighbor is listed twice;
+        :func:`truncate` raises :class:`~netenergy.network.NetworkError` if not."""
 
 
 def _level_edges(generator: GraphGenerator, k: int) -> tuple[list, list, dict]:
     """(G_k, the edges induced on G_k, conductance to the exterior per vertex
-    of G_k that has any); the last is empty when the generator is exhausted."""
+    of G_k that has any); the last is empty when the generator is exhausted.
+    Each induced edge is kept as listed at its end that comes first in G_k."""
     level = list(generator.level(k))
-    inside = set(level)
-    if generator.origin not in inside:
+    n = len(level)
+    pos = dict(zip(level, range(n)))
+    if generator.origin not in pos:
         raise NetworkError("origin is not contained in the level set")
 
     edges: list[tuple[object, object, float]] = []
     exterior: dict = {}
-    done: set = set()
-    for x in level:
+    lower, upper = [], []  # (i * n + j, c) for an edge i < j, as listed at i and at j
+    for i, x in enumerate(level):
         for y, c in generator.neighbors(x):
-            if y in inside:
-                if x == y:
-                    raise NetworkError(f"generator produced a self loop at {x!r}")
-                pair = frozenset((x, y))
-                if pair in done:
-                    continue
-                done.add(pair)
-                edges.append((x, y, c))
-            else:
+            j = pos.get(y)
+            if j is None:
                 exterior[x] = exterior.get(x, 0.0) + c
-    if exterior and GROUND in inside:
+            elif i < j:
+                edges.append((x, y, c))
+                lower.append((i * n + j, c))
+            elif j < i:
+                upper.append((j * n + i, c))
+            else:
+                raise NetworkError(f"generator produced a self loop at {x!r}")
+    _check_listing(level, lower, upper)
+    if exterior and GROUND in pos:
         raise NetworkError("level set collides with the ground label")
     return level, edges, exterior
+
+
+def _check_listing(level: list, lower: list, upper: list) -> None:
+    """Raise unless every edge induced on ``level`` is listed once at each
+    end, with conductances equal to relative 1e-12 (see :func:`_level_edges`)."""
+    lo, up = (np.array(s, dtype=float).reshape(-1, 2) for s in (lower, upper))
+    lo, up = (a[np.argsort(a[:, 0])] for a in (lo, up))
+    if lo.shape == up.shape and (lo[:, 0] == up[:, 0]).all() and (np.diff(lo[:, 0]) > 0).all():
+        bad = np.flatnonzero(np.abs(lo[:, 1] - up[:, 1]) > 1e-12 * np.abs(lo[:, 1]))
+        if not bad.size:
+            return
+        key = lo[bad[0], 0]
+    else:
+        n_lo, n_up = Counter(lo[:, 0].tolist()), Counter(up[:, 0].tolist())
+        key = min(key for key in n_lo | n_up if (n_lo[key], n_up[key]) != (1, 1))
+    x, y = (level[i] for i in divmod(int(key), len(level)))
+    at_x, at_y = ([c for k, c in s if k == key] for s in (lower, upper))
+    what = "duplicate edge" if max(len(at_x), len(at_y)) > 1 else "asymmetric neighbor rule at"
+    raise NetworkError(f"{what} ({x!r}, {y!r}): conductances {at_x} at {x!r}, {at_y} at {y!r}")
 
 
 def truncate(generator: GraphGenerator, k: int) -> Network:
@@ -168,10 +193,10 @@ class GeometricLineGen(GraphGenerator):
         return list(range(k))
 
     def neighbors(self, v: int) -> list[tuple[int, float]]:
-        out = [(v + 1, float(self.ratio) ** v)]
-        if v > 0:
-            out.append((v - 1, float(self.ratio) ** (v - 1)))
-        return out
+        try:
+            return [(w, float(self.ratio) ** min(v, w)) for w in (v + 1, v - 1) if w >= 0]
+        except OverflowError:
+            raise NetworkError(f"conductance {self.ratio}**{v} overflows a float") from None
 
 
 @dataclass(frozen=True)
@@ -182,28 +207,23 @@ class IntegerLatticeGen(GraphGenerator):
     conductance: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise NetworkError(f"lattice dimension must be >= 1, got {self.d}")
+        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
+            raise NetworkError(f"lattice dimension must be an integer >= 1, got {self.d!r}")
 
     @property
     def origin(self) -> tuple:
         return (0,) * self.d
 
     def level(self, k: int) -> list[tuple]:
-        out = []
-        for point in itertools.product(range(-k, k + 1), repeat=self.d):
-            if sum(abs(x) for x in point) <= k:
-                out.append(point)
+        # the l1 ball in lexicographic order, one coordinate at a time
+        out = [()]
+        for _ in range(self.d):
+            out = [p + (x,) for p in out for r in [k - sum(map(abs, p))] for x in range(-r, r + 1)]
         return out
 
     def neighbors(self, v: tuple) -> list[tuple[tuple, float]]:
-        out = []
-        for axis in range(self.d):
-            for step in (-1, 1):
-                w = list(v)
-                w[axis] += step
-                out.append((tuple(w), self.conductance))
-        return out
+        c = self.conductance
+        return [(v[:a] + (v[a] + step,) + v[a + 1 :], c) for a in range(self.d) for step in (-1, 1)]
 
 
 # -- finite builders -------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,68 +67,59 @@ class Network:
     """
 
     def __init__(self, edges, origin, vertices=None, ground=None):
-        order: list = []
-        seen: dict = {}
-        if vertices is not None:
-            for v in vertices:
-                if v in seen:
-                    raise NetworkError(f"duplicate vertex {v!r}")
-                seen[v] = len(order)
-                order.append(v)
-
-        pair_seen: set = set()
-        heads: list[int] = []
-        tails: list[int] = []
+        pairs: list[tuple] = []
         conds: list[float] = []
-
-        def idx(v) -> int:
-            if v not in seen:
-                if vertices is not None:
-                    raise NetworkError(f"edge endpoint {v!r} not in vertex list")
-                seen[v] = len(order)
-                order.append(v)
-            return seen[v]
-
         for item in edges:
             try:
                 u, v, c = item
+                conds.append(float(c))
             except (TypeError, ValueError) as exc:
                 raise NetworkError(f"malformed edge {item!r}") from exc
-            c = float(c)
-            if not np.isfinite(c) or c <= 0.0:
-                raise NetworkError(f"edge ({u!r}, {v!r}) has conductance {c}, need c > 0")
-            if u == v:
-                raise NetworkError(f"self loop at {u!r}")
-            i, j = idx(u), idx(v)
-            key = (i, j) if i < j else (j, i)
-            if key in pair_seen:
-                raise NetworkError(f"duplicate edge ({u!r}, {v!r})")
-            pair_seen.add(key)
-            heads.append(key[0])
-            tails.append(key[1])
-            conds.append(c)
+            pairs.append((u, v))
+        ends = list(chain.from_iterable(pairs))
 
+        order = list(dict.fromkeys(ends) if vertices is None else vertices)
+        index = dict(zip(order, range(len(order))))
+        if len(index) < len(order):
+            first: dict = {}
+            dup = next(v for i, v in enumerate(order) if first.setdefault(v, i) != i)
+            raise NetworkError(f"duplicate vertex {dup!r}")
+        try:
+            ij = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends)).reshape(-1, 2)
+        except KeyError as exc:
+            raise NetworkError(f"edge endpoint {exc.args[0]!r} not in vertex list") from None
+        heads, tails, c = ij.min(axis=1), ij.max(axis=1), np.array(conds, dtype=float)
+
+        bad = np.flatnonzero(~(np.isfinite(c) & (c > 0.0)))
+        if bad.size:
+            raise NetworkError(f"edge {pairs[bad[0]]} has conductance {conds[bad[0]]}, need c > 0")
+        loops = np.flatnonzero(heads == tails)
+        if loops.size:
+            raise NetworkError(f"self loop at {pairs[loops[0]][0]!r}")
+        _, first_seen = np.unique(heads * len(order) + tails, return_index=True)
+        if first_seen.size < c.size:
+            k = np.setdiff1d(np.arange(c.size), first_seen)[0]
+            raise NetworkError(f"duplicate edge {pairs[k]}")
         if not order:
             raise NetworkError("empty network")
-        if origin not in seen:
+        if origin not in index:
             raise NetworkError(f"origin {origin!r} is not a vertex")
         if ground is not None:
-            if ground not in seen:
+            if ground not in index:
                 raise NetworkError(f"ground {ground!r} is not a vertex")
             if ground == origin:
                 raise NetworkError("ground vertex cannot be the origin")
 
         self._labels = tuple(order)
-        self._index = dict(seen)
-        self._heads = np.asarray(heads, dtype=np.int64)
-        self._tails = np.asarray(tails, dtype=np.int64)
-        self._conds = np.asarray(conds, dtype=float)
+        self._index = index
+        self._heads = heads
+        self._tails = tails
+        self._conds = c
         self._origin = origin
         self._ground = ground
 
-        n = len(order)
-        if n > 1:
-            if not heads:
+        if len(order) > 1:
+            if not c.size:
                 raise NetworkError("network with more than one vertex has no edges")
             ncomp, _ = connected_components(self.weight_matrix, directed=False)
             if ncomp != 1:
@@ -265,12 +257,10 @@ class Network:
 
     def interior_indices(self, boundary=()) -> np.ndarray:
         """Indices of vertices outside ``boundary`` and off the ground."""
-        excluded = {self.index(b) for b in boundary}
+        excluded = [self.index(b) for b in boundary]
         if self.ground_index is not None:
-            excluded.add(self.ground_index)
-        return np.array(
-            [i for i in range(self.n) if i not in excluded], dtype=np.int64
-        )
+            excluded.append(self.ground_index)
+        return np.delete(np.arange(self.n), excluded)
 
 
 def is_harmonic(net: Network, u, tol: float = 1e-10, boundary=()) -> bool:

@@ -59,7 +59,7 @@ def _reduced_solver(net: Network):
     if cached is not None:
         return cached
     pinned = _pinned_index(net)
-    keep = np.array([i for i in range(net.n) if i != pinned], dtype=np.int64)
+    keep = np.delete(np.arange(net.n), pinned)
     lap = net.laplacian_matrix.tocsc()
     red = lap[keep, :][:, keep]
     if keep.size == 0:
@@ -332,43 +332,24 @@ def harmonic_space(net: Network, boundary) -> list[np.ndarray]:
     dimension ``len(boundary) - 1``.  Every basis function vanishes at the
     origin.  An empty boundary returns an empty list.
     """
-    b_idx = []
-    seen = set()
-    for b in boundary:
-        i = net.index(b)
-        if i not in seen:
-            seen.add(i)
-            b_idx.append(i)
+    b_idx = list(dict.fromkeys(net.index(b) for b in boundary))
     if len(b_idx) <= 1:
         return []
 
-    interior = np.array([i for i in range(net.n) if i not in seen], dtype=np.int64)
-    lap = net.laplacian_matrix.tocsc()
-    basis = []
-    o = net.origin_index
+    interior = np.delete(np.arange(net.n), b_idx)
+    # one extension per boundary vertex after the first
+    data = np.eye(len(b_idx))[:, 1:]
+    u = np.zeros((net.n, data.shape[1]))
+    u[b_idx] = data
     if interior.size:
-        l_ii = lap[interior, :][:, interior]
-        l_ib = lap[interior, :][:, b_idx]
+        lap = net.laplacian_matrix.tocsc()
         try:
-            lu = spla.splu(l_ii)
+            lu = spla.splu(lap[interior, :][:, interior])
         except RuntimeError as exc:
             raise SolverError(f"interior system is singular: {exc}") from exc
-        # one extension per boundary vertex after the first
-        data = np.eye(len(b_idx))[:, 1:]
-        rhs = -np.asarray(l_ib @ data)
-        sols = lu.solve(rhs)
-        for j in range(data.shape[1]):
-            u = np.zeros(net.n)
-            u[np.array(b_idx)] = data[:, j]
-            u[interior] = sols[:, j]
-            basis.append(u - u[o])
-    else:
-        data = np.eye(len(b_idx))[:, 1:]
-        for j in range(data.shape[1]):
-            u = np.zeros(net.n)
-            u[np.array(b_idx)] = data[:, j]
-            basis.append(u - u[o])
-    return basis
+        u[interior] = lu.solve(-np.asarray(lap[interior, :][:, b_idx] @ data))
+    o = net.origin_index
+    return [u[:, j] - u[o, j] for j in range(data.shape[1])]
 
 
 def royden_project(net: Network, u, boundary=None) -> tuple[EnergyVector, EnergyVector]:

@@ -250,6 +250,27 @@ def test_kmax_below_one_is_runtime_error(verb, capsys):
     assert "error: k_max must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, msg",
+    [
+        (
+            ["transience", "--generator", "lattice", "--param", "d=2.5", "--kmax", "3"],
+            "lattice dimension must be an integer >= 1, got 2.5",
+        ),
+        (
+            ["generate", "--generator", "geometric_line"]
+            + ["--param", "ratio=1e300", "--param", "n=5"],
+            "conductance 1e+300**2 overflows a float",
+        ),
+    ],
+    ids=["fractional-dimension", "overflowing-ratio"],
+)
+def test_bad_generator_parameters_are_runtime_errors(argv, msg, capsys):
+    rc = main(argv)
+    assert rc == 1
+    assert f"error: {msg}" in capsys.readouterr().err
+
+
 # -- artifacts: one test over every verb that takes --format ---------------
 
 

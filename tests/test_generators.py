@@ -1,3 +1,7 @@
+import itertools
+import re
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -98,6 +102,105 @@ def test_builders_are_truncations_without_ground(net, gen, k):
     assert net.labels + (GROUND,) == wired.labels
     assert net.origin == wired.origin
     assert _edge_set(net) == _edge_set(wired, skip=GROUND)
+
+
+def _truncate_oracle(gen, k):
+    """Plain-Python wired truncation: (labels, in-level edges as
+    (head, tail, c) positions in first-seen order, ground conductances)."""
+    level = list(gen.level(k))
+    pos = {v: i for i, v in enumerate(level)}
+    edges, ground = {}, {}
+    for x in level:
+        for y, c in gen.neighbors(x):
+            if y in pos:
+                edges.setdefault((min(pos[x], pos[y]), max(pos[x], pos[y])), c)
+            else:
+                ground[x] = ground.get(x, 0.0) + c
+    return level, [(i, j, c) for (i, j), c in edges.items()], ground
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        BinaryTreeGen(),
+        IntegerLineGen(conductance=0.5),
+        GeometricLineGen(ratio=3.0),
+        IntegerLatticeGen(d=1),
+        IntegerLatticeGen(d=2),
+        IntegerLatticeGen(d=3),
+    ],
+    ids=["tree", "line", "geometric", "lattice1", "lattice2", "lattice3"],
+)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_truncate_matches_reference(gen, k):
+    level, edges, ground = _truncate_oracle(gen, k)
+    net = truncate(gen, k)
+    assert net.labels == tuple(level) + (GROUND,)
+    heads, tails, conds = net.edge_arrays
+    g = net.ground_index
+    inner = [(int(i), int(j), float(c)) for i, j, c in zip(heads, tails, conds) if j != g]
+    assert inner == edges
+    wired = {net.labels[i]: float(c) for i, j, c in zip(heads, tails, conds) if j == g}
+    assert list(wired.items()) == list(ground.items())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lattice_level_is_lexicographic_ball(d):
+    gen = IntegerLatticeGen(d=d)
+    for k in range(1, 5):
+        cube = itertools.product(range(-k, k + 1), repeat=d)
+        assert gen.level(k) == [p for p in cube if sum(map(abs, p)) <= k]
+
+
+class _SlopedLine(IntegerLineGen):
+    """c(v, v - 1) = 2 but c(v, v + 1) = 1: the two ends disagree."""
+
+    def neighbors(self, v):
+        return [(v - 1, 2.0), (v + 1, 1.0)]
+
+
+class _OneWayLine(IntegerLineGen):
+    """v lists v + 1, which does not list v back."""
+
+    def neighbors(self, v):
+        return [(v + 1, 1.0)]
+
+
+@dataclass(frozen=True)
+class _RepeatedLine(IntegerLineGen):
+    """The neighbor at ``v + step`` is listed twice."""
+
+    step: int = 1
+
+    def neighbors(self, v):
+        return super().neighbors(v) + [(v + self.step, self.conductance)]
+
+
+@pytest.mark.parametrize(
+    "gen, msg",
+    [
+        (
+            _SlopedLine(),
+            "asymmetric neighbor rule at (-2, -1): conductances [1.0] at -2, [2.0] at -1",
+        ),
+        (
+            _OneWayLine(),
+            "asymmetric neighbor rule at (-2, -1): conductances [1.0] at -2, [] at -1",
+        ),
+        (
+            _RepeatedLine(step=1),
+            "duplicate edge (-2, -1): conductances [1.0, 1.0] at -2, [1.0] at -1",
+        ),
+        (
+            _RepeatedLine(step=-1),
+            "duplicate edge (-2, -1): conductances [1.0] at -2, [1.0, 1.0] at -1",
+        ),
+    ],
+    ids=["conductances-differ", "one-way", "repeated-upward", "repeated-downward"],
+)
+def test_neighbor_rules_must_agree(gen, msg):
+    with pytest.raises(NetworkError, match=re.escape(msg)):
+        truncate(gen, 2)
 
 
 def test_finite_builders():

@@ -67,18 +67,52 @@ def test_as_array_and_dict(p3):
 
 
 @pytest.mark.parametrize(
-    "edges,msg",
+    "edges,vertices,msg",
     [
-        ([("o", "a", 1.0), ("o", "a", 2.0)], "duplicate"),
-        ([("o", "o", 1.0)], "self loop"),
-        ([("o", "a", 0.0)], "c > 0"),
-        ([("o", "a", -2.0)], "c > 0"),
-        ([("o", "a", 1.0), ("x", "y", 1.0)], "connected"),
+        pytest.param(
+            [("o", "a", 1.0), ("o", "a", 2.0)], None, "duplicate edge ('o', 'a')",
+            id="edges0-duplicate",
+        ),
+        pytest.param([("o", "o", 1.0)], None, "self loop at 'o'", id="edges1-self loop"),
+        pytest.param(
+            [("o", "a", 0.0)], None, "edge ('o', 'a') has conductance 0.0, need c > 0",
+            id="edges2-c > 0",
+        ),
+        pytest.param(
+            [("o", "a", -2.0)], None, "edge ('o', 'a') has conductance -2.0, need c > 0",
+            id="edges3-c > 0",
+        ),
+        pytest.param(
+            [("o", "a", 1.0), ("x", "y", 1.0)], None, "disconnected", id="edges4-connected"
+        ),
+        pytest.param(
+            [("o", "a", 1.0), ("a", "o", 2.0)], None, "duplicate edge ('a', 'o')",
+            id="reversed-duplicate",
+        ),
+        pytest.param(
+            [("o", "a", 1.0), ("a", "b", float("inf"))], None,
+            "edge ('a', 'b') has conductance inf, need c > 0", id="inf",
+        ),
+        pytest.param(
+            [("o", "a", 1.0), ("a", "b", float("nan"))], None,
+            "edge ('a', 'b') has conductance nan, need c > 0", id="nan",
+        ),
+        pytest.param([("o", "a", None)], None, "malformed edge ('o', 'a', None)", id="none"),
+        pytest.param(
+            [("o", "a", 1.0), ("a", "b")], None, "malformed edge ('a', 'b')", id="two-tuple"
+        ),
+        pytest.param(
+            [("o", "a", 1.0), ("a", "b", 1.0)], ["o", "a"], "edge endpoint 'b' not in vertex list",
+            id="missing-endpoint",
+        ),
+        pytest.param(
+            [("o", "a", 1.0)], ["o", "a", "o"], "duplicate vertex 'o'", id="repeated-vertex"
+        ),
     ],
 )
-def test_invalid_networks_rejected(edges, msg):
-    with pytest.raises(NetworkError, match=msg):
-        Network(edges, origin="o")
+def test_invalid_networks_rejected(edges, vertices, msg):
+    with pytest.raises(NetworkError, match=re.escape(msg)):
+        Network(edges, origin="o", vertices=vertices)
 
 
 def test_origin_must_exist_and_differ_from_ground():
