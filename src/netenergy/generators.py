@@ -17,6 +17,7 @@ condition.
 from __future__ import annotations
 
 import abc
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -122,6 +123,12 @@ def truncate(generator: GraphGenerator, k: int) -> Network:
 # -- concrete generator rules ----------------------------------------------
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise unless ``value`` is a real number in (0, largest float]."""
+    if not (isinstance(value, numbers.Real) and 0 < value <= np.finfo(float).max):
+        raise NetworkError(f"{name} must be a positive finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BinaryTreeGen(GraphGenerator):
     """Rooted infinite binary tree with constant edge conductance.
@@ -132,6 +139,9 @@ class BinaryTreeGen(GraphGenerator):
     """
 
     conductance: float = 1.0
+
+    def __post_init__(self):
+        _check_positive("conductance", self.conductance)
 
     @property
     def origin(self) -> str:
@@ -159,6 +169,9 @@ class IntegerLineGen(GraphGenerator):
 
     conductance: float = 1.0
 
+    def __post_init__(self):
+        _check_positive("conductance", self.conductance)
+
     @property
     def origin(self) -> int:
         return 0
@@ -182,8 +195,7 @@ class GeometricLineGen(GraphGenerator):
     ratio: float = 2.0
 
     def __post_init__(self):
-        if self.ratio <= 0:
-            raise NetworkError(f"ratio must be positive, got {self.ratio}")
+        _check_positive("ratio", self.ratio)
 
     @property
     def origin(self) -> int:
@@ -209,6 +221,7 @@ class IntegerLatticeGen(GraphGenerator):
     def __post_init__(self):
         if not isinstance(self.d, (int, np.integer)) or self.d < 1:
             raise NetworkError(f"lattice dimension must be an integer >= 1, got {self.d!r}")
+        _check_positive("conductance", self.conductance)
 
     @property
     def origin(self) -> tuple:

@@ -6,9 +6,12 @@ pinned vertex is the ground (held at potential zero); on a plain finite
 network it is the origin, and the right-hand side must sum to zero for the
 full system to be consistent.
 
-The reduced system is factored once per network (sparse LU) and reused for
-every right-hand side; above ``DIRECT_LIMIT`` unknowns a Jacobi
-preconditioned conjugate-gradient iteration is used instead.
+Harmonic extensions (:func:`harmonic_space`, :func:`royden_project`) are
+the same kind of system with a boundary set pinned instead: the Dirichlet
+problem on the vertices off the boundary.  A reduced system is factored
+once per network and pinned set (sparse LU) and reused for every
+right-hand side; above ``DIRECT_LIMIT`` unknowns a Jacobi preconditioned
+conjugate-gradient iteration is used instead, for both kinds of solve.
 
 Solvers return :class:`~netenergy.energy.EnergyVector` classes where the
 result is an energy-space element (dipoles, projections); raw potentials
@@ -27,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import EnergyVector, energy_form, energy_pairings, to_energy_vector
+from .energy import EnergyVector, energy_form, to_energy_vector
 from .generators import GraphGenerator, truncate
 from .network import Network, NetworkError
 
@@ -45,20 +48,19 @@ class SolverError(RuntimeError):
     """A linear solve failed or was handed an inconsistent system."""
 
 
-_solver_cache: "weakref.WeakKeyDictionary[Network, tuple]" = weakref.WeakKeyDictionary()
+_solver_cache: "weakref.WeakKeyDictionary[Network, dict]" = weakref.WeakKeyDictionary()
 
 
-def _pinned_index(net: Network) -> int:
-    gi = net.ground_index
-    return net.origin_index if gi is None else gi
-
-
-def _reduced_solver(net: Network):
-    """(keep, solve) for the Laplacian with the pinned row/column deleted."""
-    cached = _solver_cache.get(net)
-    if cached is not None:
-        return cached
-    pinned = _pinned_index(net)
+def _reduced_solver(net: Network, pinned=None):
+    """(keep, solve) for the Laplacian with the ``pinned`` rows and columns
+    deleted: a boundary index set, by default the ground (else the origin).
+    ``solve`` takes the right-hand sides as the columns of a 2-d array."""
+    if pinned is None:
+        pinned = [net.origin_index if net.ground_index is None else net.ground_index]
+    pinned = tuple(sorted(set(pinned)))
+    cache = _solver_cache.setdefault(net, {})
+    if pinned in cache:
+        return cache[pinned]
     keep = np.delete(np.arange(net.n), pinned)
     lap = net.laplacian_matrix.tocsc()
     red = lap[keep, :][:, keep]
@@ -82,11 +84,9 @@ def _reduced_solver(net: Network):
                     raise SolverError(f"conjugate gradient did not converge (info={info})")
                 return x
 
-            if b.ndim == 1:
-                return one(b)
             return np.column_stack([one(b[:, j]) for j in range(b.shape[1])])
 
-    _solver_cache[net] = (keep, solve)
+    cache[pinned] = (keep, solve)
     return keep, solve
 
 
@@ -124,8 +124,7 @@ def solve_grounded(net: Network, rhs) -> np.ndarray:
 
     keep, solve = _reduced_solver(net)
     out = np.zeros_like(cols)
-    if keep.size:
-        out[keep, :] = solve(cols[keep, :]).reshape(keep.size, -1)
+    out[keep, :] = solve(cols[keep, :]).reshape(keep.size, -1)
     return out[:, 0] if squeeze else out
 
 
@@ -135,14 +134,7 @@ def solve_dipole(net: Network, x) -> EnergyVector:
     Pairing any u against v_x in energy reproduces u(x) - u(o).  For the
     origin itself the zero class is returned.
     """
-    xi = net.index(x)
-    o = net.origin_index
-    if xi == o:
-        return to_energy_vector(net, np.zeros(net.n))
-    rhs = np.zeros(net.n)
-    rhs[xi] = 1.0
-    rhs[o] = -1.0
-    return to_energy_vector(net, solve_grounded(net, rhs))
+    return solve_dipoles(net, [x])[0]
 
 
 def solve_dipoles(net: Network, xs) -> list[EnergyVector]:
@@ -324,6 +316,17 @@ def transience_probe(
 # -- harmonic functions and the Royden split -------------------------------
 
 
+def _harmonic_extension(net: Network, b_idx: list, data: np.ndarray) -> np.ndarray:
+    """Functions equal to the columns of ``data`` on the vertices ``b_idx``
+    and harmonic at every other vertex: one Dirichlet solve per column."""
+    keep, solve = _reduced_solver(net, b_idx)
+    u = np.zeros((net.n, data.shape[1]))
+    u[b_idx] = data
+    lap = net.laplacian_matrix.tocsc()
+    u[keep] = solve(-(lap[keep, :][:, b_idx] @ data))
+    return u
+
+
 def harmonic_space(net: Network, boundary) -> list[np.ndarray]:
     """Basis of harmonic-modulo-constants functions for a boundary set.
 
@@ -335,21 +338,10 @@ def harmonic_space(net: Network, boundary) -> list[np.ndarray]:
     b_idx = list(dict.fromkeys(net.index(b) for b in boundary))
     if len(b_idx) <= 1:
         return []
-
-    interior = np.delete(np.arange(net.n), b_idx)
     # one extension per boundary vertex after the first
-    data = np.eye(len(b_idx))[:, 1:]
-    u = np.zeros((net.n, data.shape[1]))
-    u[b_idx] = data
-    if interior.size:
-        lap = net.laplacian_matrix.tocsc()
-        try:
-            lu = spla.splu(lap[interior, :][:, interior])
-        except RuntimeError as exc:
-            raise SolverError(f"interior system is singular: {exc}") from exc
-        u[interior] = lu.solve(-np.asarray(lap[interior, :][:, b_idx] @ data))
+    u = _harmonic_extension(net, b_idx, np.eye(len(b_idx))[:, 1:])
     o = net.origin_index
-    return [u[:, j] - u[o, j] for j in range(data.shape[1])]
+    return [u[:, j] - u[o, j] for j in range(u.shape[1])]
 
 
 def royden_project(net: Network, u, boundary=None) -> tuple[EnergyVector, EnergyVector]:
@@ -357,26 +349,20 @@ def royden_project(net: Network, u, boundary=None) -> tuple[EnergyVector, Energy
 
     ``boundary`` defaults to the ground vertex when the network has one
     (so a plain finite network decomposes as (u, 0): no nonconstant
-    harmonic functions exist there).  The harmonic component solves the
-    Gram system of the harmonic basis; an ill-conditioned Gram is refused
-    with the condition estimate in the error.
+    harmonic functions exist there).  The harmonic component is the
+    harmonic extension of u's own boundary values, one Dirichlet solve.
+    It is the projection: fin = u - harm vanishes on the boundary, so by
+    Green's identity E(fin, h) = sum_x fin(x) lap(h)(x) = 0 for every h
+    harmonic off the boundary.
     """
     uvec = u if isinstance(u, EnergyVector) else to_energy_vector(net, u)
     if uvec.net is not net:
         raise NetworkError("energy vector from a different network")
     if boundary is None:
         boundary = [net.ground] if net.ground is not None else []
-    basis = harmonic_space(net, boundary)
-    if not basis:
+    b_idx = list(dict.fromkeys(net.index(b) for b in boundary))
+    if len(b_idx) <= 1:
         return uvec, to_energy_vector(net, np.zeros(net.n))
-
-    g = energy_pairings(net, basis, basis)
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise SolverError(f"harmonic Gram is ill conditioned (cond ~ {cond:.3e})")
-    b = energy_pairings(net, basis, [uvec.values])[:, 0]
-    coeffs = np.linalg.solve(g, b)
-    harm_vals = np.tensordot(coeffs, np.vstack(basis), axes=1)
-    harm = to_energy_vector(net, harm_vals)
+    harm = to_energy_vector(net, _harmonic_extension(net, b_idx, uvec.values[b_idx, None])[:, 0])
     fin = to_energy_vector(net, uvec.values - harm.values)
     return fin, harm

@@ -262,8 +262,28 @@ def test_kmax_below_one_is_runtime_error(verb, capsys):
             + ["--param", "ratio=1e300", "--param", "n=5"],
             "conductance 1e+300**2 overflows a float",
         ),
+        (
+            ["transience", "--generator", "binary_tree", "--param", "conductance=abc"]
+            + ["--kmax", "2"],
+            "conductance must be a positive finite number, got 'abc'",
+        ),
+        (
+            ["monopole", "--generator", "lattice", "--param", "conductance=0", "--kmax", "2"],
+            "conductance must be a positive finite number, got 0",
+        ),
+        (
+            ["generate", "--generator", "geometric_line"]
+            + ["--param", "ratio=abc", "--param", "n=5"],
+            "ratio must be a positive finite number, got 'abc'",
+        ),
     ],
-    ids=["fractional-dimension", "overflowing-ratio"],
+    ids=[
+        "fractional-dimension",
+        "overflowing-ratio",
+        "non-numeric-conductance",
+        "zero-conductance",
+        "non-numeric-ratio",
+    ],
 )
 def test_bad_generator_parameters_are_runtime_errors(argv, msg, capsys):
     rc = main(argv)

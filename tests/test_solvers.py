@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from netenergy import (
     BinaryTreeGen,
@@ -14,6 +15,7 @@ from netenergy import (
     cycle,
     effective_resistance,
     energy_form,
+    geometric_line,
     harmonic_space,
     is_harmonic,
     path,
@@ -27,6 +29,7 @@ from netenergy import (
     transience_probe,
     truncate,
 )
+from netenergy import solvers
 from netenergy.solvers import _aitken
 
 
@@ -211,9 +214,98 @@ def test_royden_split_on_truncation(rng):
     assert fin.energy + harm.energy == pytest.approx(u.energy, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "boundary", [[0, 13], list(range(14))], ids=["ends", "every-vertex"]
+)
+def test_royden_split_on_stiff_line(boundary, rng):
+    # conductances 10^k over thirteen decades; a line is a series circuit,
+    # so the harmonic part is linear in the resistance coordinate between
+    # boundary vertices and its energy is sum (jump of u)^2 / (resistance)
+    net = geometric_line(10.0, 14)
+    resistances = 10.0 ** -np.arange(13)
+    r = np.concatenate([[0.0], np.cumsum(resistances)])
+    u = to_energy_vector(net, rng.standard_normal(net.n))
+    fin, harm = royden_project(net, u, boundary=boundary)
+    ub = u.values[boundary]
+    np.testing.assert_allclose(harm.values, np.interp(r, r[boundary], ub), rtol=0, atol=1e-12)
+    between = np.add.reduceat(resistances, boundary[:-1])
+    assert harm.energy == pytest.approx(np.sum(np.diff(ub) ** 2 / between), rel=1e-12)
+    np.testing.assert_array_equal(harm.values[boundary], ub)
+    assert not fin.values[boundary].any()
+    np.testing.assert_allclose(fin.values + harm.values, u.values, rtol=0, atol=1e-12)
+
+
 def test_royden_split_finite_network_is_all_finite(rng):
     net = cycle(7)
     u = to_energy_vector(net, rng.standard_normal(7))
     fin, harm = royden_project(net, u)
     assert harm.energy == 0.0
     np.testing.assert_allclose(fin.values, u.values)
+
+
+# -- the conjugate-gradient path above DIRECT_LIMIT ------------------------
+
+
+def _deepest_and_ground(trunc):
+    """The deepest tree vertices of a wired tree truncation, and its ground."""
+    tree = [lbl for lbl in trunc.labels if lbl != trunc.ground]
+    depth = max(map(len, tree))
+    return [lbl for lbl in tree if len(lbl) == depth] + [trunc.ground]
+
+
+def test_cg_path_matches_direct(monkeypatch, rng):
+    def results():
+        # fresh networks: factorizations are cached per network
+        net, trunc = random_network(30, seed=5), truncate(BinaryTreeGen(), 3)
+        rhs = rng.standard_normal((net.n, 3))
+        rhs -= rhs.mean(axis=0)
+        u = rng.standard_normal(trunc.n)
+        return [
+            solve_grounded(net, rhs[:, 0]),
+            solve_grounded(net, rhs),
+            solve_grounded(trunc, u),
+            np.array(harmonic_space(trunc, _deepest_and_ground(trunc))),
+            *(v.values for v in royden_project(trunc, u, boundary=_deepest_and_ground(trunc))),
+            *(v.values for v in royden_project(net, rhs[:, 1], boundary=net.labels[::3])),
+        ]
+
+    state = rng.bit_generator.state
+    direct = results()
+    rng.bit_generator.state = state
+    monkeypatch.setattr(solvers, "DIRECT_LIMIT", 3)
+
+    def no_splu(*args, **kwargs):
+        pytest.fail("a sparse LU ran above DIRECT_LIMIT")
+
+    monkeypatch.setattr(spla, "splu", no_splu)
+    for a, b in zip(direct, results()):
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-9)
+
+
+def test_cg_failure_is_solver_error(monkeypatch):
+    monkeypatch.setattr(solvers, "DIRECT_LIMIT", 3)
+    monkeypatch.setattr(spla, "cg", lambda a, b, **kw: (np.zeros_like(b), 1))
+    net = truncate(BinaryTreeGen(), 3)
+    with pytest.raises(SolverError, match="did not converge"):
+        solve_grounded(net, net.delta("r"))
+    with pytest.raises(SolverError, match="did not converge"):
+        royden_project(net, np.arange(net.n, dtype=float), boundary=_deepest_and_ground(net))
+
+
+def test_royden_factors_once_per_boundary(monkeypatch, rng):
+    calls = []
+    splu = spla.splu
+
+    def counted_splu(a, *args, **kwargs):
+        calls.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    net = truncate(BinaryTreeGen(), 4)
+    boundary = [lbl for lbl in net.labels if lbl != net.ground and len(lbl) == 5]
+    for order in (boundary, boundary[::-1], boundary):
+        royden_project(net, rng.standard_normal(net.n), boundary=order)
+    harmonic_space(net, boundary)
+    assert len(calls) == 1
+    solve_grounded(net, net.delta("r"))  # the ground is a different pinned set
+    assert len(calls) == 2
