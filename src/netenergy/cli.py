@@ -40,7 +40,6 @@ from .operators import (
     krein_lambda,
     krein_network_extension,
     network_kl,
-    semibounded_friedrichs,
     spectral_measure,
     verify_pair,
 )
@@ -117,8 +116,12 @@ def _make_generator(name: str, params: dict):
         raise NetworkError(f"bad parameters for generator {name!r}: {exc}") from None
 
 
-def _load_matrix(path):
-    """Matrix file: JSON ``[[...]]`` or ``{"labels": [...], "matrix": [[...]]}``."""
+def _load_matrix(path, space_labels=None):
+    """Matrix file: JSON ``[[...]]`` or ``{"labels": [...], "matrix": [[...]]}``.
+
+    A file read against ``space_labels`` (those of the ``--gram`` space) that
+    carries labels must list exactly those labels, in the same order.
+    """
     doc = read_json(path, "matrix", OperatorError)
     if isinstance(doc, dict) and "matrix" in doc:
         labels = doc.get("labels")
@@ -130,6 +133,10 @@ def _load_matrix(path):
         raise OperatorError(f"{path}: expected a JSON matrix or an object with 'matrix'")
     if matrix.ndim != 2:
         raise OperatorError(f"{path}: matrix must be two-dimensional, got shape {matrix.shape}")
+    if space_labels is not None and labels is not None and list(labels) != list(space_labels):
+        raise OperatorError(
+            f"{path}: labels {labels} do not match the --gram labels {list(space_labels)}"
+        )
     return labels, matrix
 
 
@@ -184,8 +191,8 @@ def _emit(args, artifacts: dict, echo: bool = True) -> None:
 
 def _matrix_table(op: LinOp) -> tuple:
     """Operator matrix with codomain labels down and domain labels across."""
-    header = [""] + [str(lbl) for lbl in op.domain.labels]
-    rows = ([str(lbl)] + row.tolist() for lbl, row in zip(op.codomain.labels, op.matrix))
+    header = [""] + [label_key(lbl) for lbl in op.domain.labels]
+    rows = ([label_key(lbl)] + row.tolist() for lbl, row in zip(op.codomain.labels, op.matrix))
     return header, rows
 
 
@@ -288,13 +295,10 @@ def cmd_transience(args) -> int:
 
 def cmd_friedrichs(args) -> int:
     labels, g = _load_matrix(args.gram)
-    _, a_mat = _load_matrix(args.operator)
     space = InnerSpace.from_matrix(g, labels=labels)
+    _, a_mat = _load_matrix(args.operator, space.labels)
     a = LinOp(domain=space, codomain=space, matrix=a_mat)
-    if args.bound is None:
-        ext = friedrichs(space, a)
-    else:
-        ext = semibounded_friedrichs(space, a, c=args.bound)
+    ext = friedrichs(space, a, c=args.bound)
     defect = float(np.max(np.abs(ext.matrix - a.matrix)))
     print(f"extension of a {space.dim}x{space.dim} operator: max |ext - A| = {defect:.3e}")
     _emit(args, {"friedrichs_extension": _operator_artifact(ext)})
@@ -303,8 +307,8 @@ def cmd_friedrichs(args) -> int:
 
 def cmd_krein(args) -> int:
     labels, g1 = _load_matrix(args.gram)
-    _, g2 = _load_matrix(args.gram2)
     h1 = InnerSpace.from_matrix(g1, labels=labels)
+    _, g2 = _load_matrix(args.gram2, h1.labels)
     lam = krein_lambda(h1, g2)
     rng = np.random.default_rng(args.seed)
     phi = rng.standard_normal(h1.dim)
@@ -320,8 +324,8 @@ def cmd_krein(args) -> int:
 
 def cmd_spectral(args) -> int:
     labels, g1 = _load_matrix(args.gram)
-    _, g2 = _load_matrix(args.gram2)
     h1 = InnerSpace.from_matrix(g1, labels=labels)
+    _, g2 = _load_matrix(args.gram2, h1.labels)
     lam = krein_lambda(h1, g2)
     if args.phi is None:
         phi = np.zeros(h1.dim)
@@ -497,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("friedrichs", help="extension of a coercive or semibounded operator")
     p.add_argument("--gram", required=True, help="Gram matrix JSON file")
     p.add_argument("--operator", required=True, help="operator matrix JSON file")
-    p.add_argument("--bound", type=float, default=None, help="semibounded lower bound c")
+    p.add_argument("--bound", type=float, default=1.0, help="lower bound c (default 1: coercive)")
     common(p)
     p.set_defaults(func=cmd_friedrichs)
 

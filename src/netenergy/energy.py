@@ -36,11 +36,6 @@ def energy_form(net: Network, u, v=None) -> float:
     return float(np.sum(conds * du * (va[heads] - va[tails])))
 
 
-def l2_inner(net: Network, u, v) -> float:
-    """Counting-measure inner product sum_x u(x) v(x)."""
-    return float(np.dot(net.as_array(u), net.as_array(v)))
-
-
 def energy_pairings(net: Network, rows, cols) -> np.ndarray:
     """Matrix of energy inner products E(rows[i], cols[j])."""
     heads, tails, conds = net.edge_arrays
@@ -121,13 +116,6 @@ class GramMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def is_positive_definite(self) -> bool:
-        try:
-            np.linalg.cholesky(self.matrix)
-            return True
-        except np.linalg.LinAlgError:
-            return False
 
 
 def gram(space_kind: str, net: Network, vectors, labels=None) -> GramMatrix:

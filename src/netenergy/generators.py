@@ -29,11 +29,6 @@ from .network import GROUND, Network, NetworkError
 class GraphGenerator(abc.ABC):
     """Rule describing a graph one neighborhood at a time."""
 
-    #: Whether the level sets grow without bound.
-    unbounded: bool = True
-    #: Largest admissible level for bounded generators (None if unbounded).
-    max_level: int | None = None
-
     @property
     @abc.abstractmethod
     def origin(self):
@@ -111,8 +106,6 @@ def truncate(generator: GraphGenerator, k: int) -> Network:
     """
     if k < 1:
         raise NetworkError(f"truncation level must be >= 1, got {k}")
-    if generator.max_level is not None and k > generator.max_level:
-        k = generator.max_level
     level, edges, exterior = _level_edges(generator, k)
     if not exterior:
         return Network(edges, generator.origin, vertices=level)

@@ -234,22 +234,6 @@ class Network:
 
     # -- local operations --------------------------------------------------
 
-    def conductance(self, x) -> float:
-        """Net conductance c(x), the sum of conductances at ``x``."""
-        return float(self.conductances[self.index(x)])
-
-    def edge_conductance(self, x, y) -> float:
-        """Conductance of the edge between ``x`` and ``y`` (0 if absent)."""
-        return float(self.weight_matrix[self.index(x), self.index(y)])
-
-    def neighbors(self, x) -> list[tuple[object, float]]:
-        i = self.index(x)
-        w = self.weight_matrix
-        out = []
-        for j in range(w.indptr[i], w.indptr[i + 1]):
-            out.append((self._labels[w.indices[j]], float(w.data[j])))
-        return out
-
     def laplacian(self, u) -> np.ndarray:
         """Apply the Laplacian: (lap u)(x) = sum_y c_xy (u(x) - u(y))."""
         arr = self.as_array(u)

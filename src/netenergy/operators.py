@@ -11,25 +11,29 @@ which is all that is needed to verify symmetric pairs (<A phi, psi>_2 =
 <phi, B psi>_1), build Friedrichs extensions through the completion-and-
 inclusion route, compare the nonzero spectra of A*A and B*B, and realize
 the canonical self-adjoint operator Lambda = G1^{-1} G2 of a second inner
-product on the same vectors.
+product on the same vectors.  Each space factors its Gram once, when it is
+built.
 
 The Friedrichs construction deliberately walks the general route (the form
 space H_A, the inclusion J, its adjoint, and the inverse of JJ* obtained by
 solving) rather than shortcutting to the answer, so that each postcondition
-is an actual check of the calculus.
+is an actual check of the calculus.  One route serves every semibounded
+operator, <phi, A phi> >= c |phi|^2: the stated bound c is checked once,
+against the smallest generalized eigenvalue of the form, and the form is
+shifted by (1 - c) G so that its inclusion is a contraction; the coercive
+case is c = 1, no shift.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
 from .energy import GramMatrix, energy_pairings, gram
-from .network import Network, NetworkError
+from .network import Network, NetworkError, label_key
 from .solvers import solve_dipoles
 
 #: Condition-number threshold past which inversions emit a warning.
@@ -48,6 +52,16 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def _symmetric(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """The symmetric part of ``m``; raises ``what`` when ``m`` is not
+    symmetric within ``tol`` relative to its scale."""
+    scale = 1.0 + float(np.abs(m).max(initial=0.0))
+    asym = float(np.max(np.abs(m - m.T), initial=0.0))
+    if asym > tol * scale:
+        raise OperatorError(f"{what}: asymmetry residual {asym:.3e}")
+    return _sym(m)
+
+
 @dataclass(frozen=True)
 class InnerSpace:
     """Finite-dimensional inner-product space in a fixed labelled basis."""
@@ -55,8 +69,11 @@ class InnerSpace:
     gram: GramMatrix
 
     def __post_init__(self):
-        if not self.gram.is_positive_definite():
-            raise OperatorError("inner-product Gram is not positive definite")
+        try:
+            chol = sla.cho_factor(self.matrix)
+        except ValueError:  # LinAlgError, or a non-finite entry
+            raise OperatorError("inner-product Gram is not positive definite") from None
+        object.__setattr__(self, "_chol", chol)
 
     @classmethod
     def from_matrix(cls, matrix, labels=None) -> "InnerSpace":
@@ -80,10 +97,6 @@ class InnerSpace:
     @property
     def matrix(self) -> np.ndarray:
         return self.gram.matrix
-
-    @cached_property
-    def _chol(self):
-        return sla.cho_factor(self.matrix)
 
     def solve_gram(self, b: np.ndarray) -> np.ndarray:
         """Solve G x = b (b may be a matrix of columns)."""
@@ -141,17 +154,10 @@ class LinOp:
     def is_endomorphism(self) -> bool:
         return self.domain.compatible(self.codomain)
 
-    def symmetry_defect(self) -> float:
-        """max |<e_i, A e_j> - <A e_i, e_j>| over the basis (endo only)."""
-        if not self.is_endomorphism():
-            raise OperatorError("symmetry defect needs domain == codomain")
-        s = self.domain.matrix @ self.matrix
-        return float(np.max(np.abs(s - s.T), initial=0.0))
-
     def to_json(self) -> dict:
         return {
-            "domain_labels": [str(l) for l in self.domain.labels],
-            "codomain_labels": [str(l) for l in self.codomain.labels],
+            "domain_labels": [label_key(l) for l in self.domain.labels],
+            "codomain_labels": [label_key(l) for l in self.codomain.labels],
             "matrix": self.matrix.tolist(),
         }
 
@@ -208,37 +214,38 @@ def verify_pair(a: LinOp, b: LinOp, tol: float = 1e-10) -> SymmetricPairReport:
 def _self_adjoint_form(space: InnerSpace, matrix: np.ndarray, tol: float, what: str):
     """The symmetrized form G M of an operator on ``space``; raises ``what``
     when G M is not symmetric within ``tol`` relative to its scale."""
-    s = space.matrix @ matrix
-    scale = 1.0 + float(np.abs(s).max(initial=0.0))
-    asym = float(np.max(np.abs(s - s.T), initial=0.0))
-    if asym > tol * scale:
-        raise OperatorError(f"{what}: asymmetry residual {asym:.3e}")
-    return _sym(s)
+    return _symmetric(space.matrix @ matrix, tol, what)
 
 
-def _self_adjoint_eigh(space: InnerSpace, matrix: np.ndarray, tol: float = 1e-10):
-    """Eigen-decomposition of a Gram-self-adjoint operator.
+def _bounded_below(space: InnerSpace, form: np.ndarray, c=1.0, tol=1e-10, vectors=False):
+    """Generalized eigenvalues of (form, G), ascending (and, with
+    ``vectors``, the eigenvectors V with V' G V = I, as ``sla.eigh`` returns
+    them); raises CoercivityError unless the smallest is at least c - tol,
+    so that the form shifted by (1 - c) G is at least 1 - tol."""
+    res = sla.eigh(form, space.matrix, eigvals_only=not vectors)
+    low = float((res[0] if vectors else res)[0])
+    if low < c - tol:
+        raise CoercivityError(
+            f"form is not bounded below by {c!r}: smallest form eigenvalue {low:.12g}"
+        )
+    return res
 
-    Returns (eigenvalues ascending, eigenvectors with V' G V = I); raises
-    when G M is not symmetric within ``tol`` relative to its scale.
-    """
-    form = _self_adjoint_form(space, matrix, tol, "operator is not self-adjoint")
-    return sla.eigh(form, space.matrix)
+
+def _spectrum_of_square(a: LinOp) -> np.ndarray:
+    """Spectrum of A*A, ascending: generalized eigenvalues of (M' G2 M, G1)."""
+    quad = _sym(a.matrix.T @ a.codomain.matrix @ a.matrix)
+    return sla.eigh(quad, a.domain.matrix, eigvals_only=True)
 
 
 def operator_norm(a: LinOp) -> float:
     """Norm of A as a map between its Gram inner products."""
-    quad = _sym(a.matrix.T @ a.codomain.matrix @ a.matrix)
-    lam = sla.eigh(quad, a.domain.matrix, eigvals_only=True)
-    return float(np.sqrt(max(float(lam[-1]), 0.0)))
+    return float(np.sqrt(max(float(_spectrum_of_square(a)[-1]), 0.0)))
 
 
 def pair_spectrum_check(a: LinOp, b: LinOp, tol: float = 1e-8) -> bool:
     """Nonzero spectra of A*A and B*B agree as multisets within ``tol``."""
-    qa = _sym(a.matrix.T @ a.codomain.matrix @ a.matrix)
-    qb = _sym(b.matrix.T @ b.codomain.matrix @ b.matrix)
-    la = np.sort(sla.eigh(qa, a.domain.matrix, eigvals_only=True))[::-1]
-    lb = np.sort(sla.eigh(qb, b.domain.matrix, eigvals_only=True))[::-1]
+    la = _spectrum_of_square(a)[::-1]
+    lb = _spectrum_of_square(b)[::-1]
     top = max(
         float(la[0]) if la.size else 0.0,
         float(lb[0]) if lb.size else 0.0,
@@ -256,19 +263,21 @@ def pair_spectrum_check(a: LinOp, b: LinOp, tol: float = 1e-8) -> bool:
 # -- Friedrichs extension through the inclusion map ------------------------
 
 
-def _extension_from_form(space: InnerSpace, form: np.ndarray) -> LinOp:
-    """Self-adjoint operator of a coercive form via the inclusion route.
+def _extension_from_form(space: InnerSpace, form: np.ndarray, lam: np.ndarray):
+    """Self-adjoint operator of a form via the inclusion route.
 
-    ``form`` is the Gram of the form inner product on the same basis
-    (assumed symmetric positive definite and bounded below by the space
-    inner product).  Builds the form space H_q, the inclusion J: H_q -> H,
-    its adjoint, and returns (JJ*)^{-1}, solving against identity columns
-    rather than forming any explicit inverse.
+    ``form`` is the Gram of the form inner product on the same basis, with
+    generalized eigenvalues ``lam`` (ascending, all at least about 1, so
+    the form dominates the space inner product).  Builds the form space
+    H_q, the inclusion J: H_q -> H and its adjoint, and returns the
+    matrices (JJ*, (JJ*)^{-1}), solving against identity columns rather
+    than forming any explicit inverse.  JJ* has eigenvalues 1 / lam, so
+    lam[-1] / lam[0] is its condition number in the norm of ``space``.
     """
     form_space = InnerSpace.from_matrix(form, labels=space.labels)
     j = LinOp(domain=form_space, codomain=space, matrix=np.eye(space.dim))
-    jj_star = j @ adjoint(j)
-    cond = float(np.linalg.cond(jj_star.matrix))
+    jj_star = (j @ adjoint(j)).matrix
+    cond = float(lam[-1] / lam[0])
     if cond > COND_WARN:
         warnings.warn(
             f"JJ* is ill conditioned (cond ~ {cond:.3e}); extension may be inaccurate",
@@ -278,83 +287,47 @@ def _extension_from_form(space: InnerSpace, form: np.ndarray) -> LinOp:
     with warnings.catch_warnings():
         warnings.simplefilter("error", sla.LinAlgWarning)
         try:
-            lu, piv = sla.lu_factor(jj_star.matrix)
+            lu_piv = sla.lu_factor(jj_star)
         except (sla.LinAlgError, sla.LinAlgWarning) as exc:
             raise OperatorError(f"JJ* is singular: {exc}") from exc
-    if np.min(np.abs(np.diag(lu))) == 0.0:
-        raise OperatorError("JJ* is singular")
-    inv = sla.lu_solve((lu, piv), np.eye(space.dim))
-    return LinOp(domain=space, codomain=space, matrix=inv)
+    return jj_star, sla.lu_solve(lu_piv, np.eye(space.dim))
 
 
-def friedrichs(space: InnerSpace, a: LinOp, tol: float = 1e-10) -> LinOp:
-    """Friedrichs extension of a symmetric coercive operator.
+def friedrichs(space: InnerSpace, a: LinOp, c: float = 1.0, tol: float = 1e-10) -> LinOp:
+    """Friedrichs extension of a symmetric semibounded operator.
 
-    Requires <phi, A phi> >= <phi, phi>, checked through the smallest
-    generalized eigenvalue.  On a finite-dimensional domain the extension
-    agrees with A itself; the value of the construction is that it goes
-    through the form space and the inclusion adjoint, so the fixed-point
-    identity JJ* A phi = phi is an actual consistency check, asserted
-    before returning.
+    Requires <phi, A phi> >= c <phi, phi> (c = 1: A is coercive), checked
+    once through the smallest generalized eigenvalue of the form G A, with
+    slack tol.  The form is shifted by s = 1 - c times the space Gram,
+    which makes it coercive, extended through the inclusion route, and the
+    extension shifted back by s; any valid lower bound gives the same
+    answer.  On a finite-dimensional domain the extension agrees
+    with A itself; the value of the construction is that it goes through
+    the form space and the inclusion adjoint, so the fixed-point identity
+    JJ* (A + s) phi = phi is an actual consistency check, asserted before
+    returning.
     """
     if not (a.domain.compatible(space) and a.codomain.compatible(space)):
         raise OperatorError("operator must act on the given space")
+    if not np.isfinite(c):
+        raise OperatorError(f"lower bound must be a finite number, got {c!r}")
     form = _self_adjoint_form(space, a.matrix, tol, "operator is not symmetric")
-    lam = sla.eigh(form, space.matrix, eigvals_only=True)
-    if float(lam[0]) < 1.0 - tol:
-        raise CoercivityError(
-            f"form is not coercive: smallest form eigenvalue {float(lam[0]):.12g} < 1"
-        )
-    ext = _extension_from_form(space, form)
-    jj_star_inv_defect = np.max(
-        np.abs(np.linalg.solve(ext.matrix, a.matrix) - np.eye(space.dim))
-    )
-    if jj_star_inv_defect > 1e-6:
-        raise OperatorError(
-            f"extension failed the fixed-point identity: defect {jj_star_inv_defect:.3e}"
-        )
-    return ext
-
-
-def semibounded_friedrichs(
-    space: InnerSpace,
-    a: LinOp,
-    c: float,
-    tol: float = 1e-10,
-) -> LinOp:
-    """Friedrichs extension of a semibounded operator, <phi, A phi> >= c|phi|^2.
-
-    Shifts by s = 1 - c so the shifted operator is coercive, extends, and
-    shifts back; any valid lower bound gives the same answer.  The stated
-    bound is verified first and refused when violated.
-    """
-    if not (a.domain.compatible(space) and a.codomain.compatible(space)):
-        raise OperatorError("operator must act on the given space")
-    lam, _ = _self_adjoint_eigh(space, a.matrix, tol=tol)
-    if float(lam[0]) < c - tol * (1.0 + abs(c)):
-        raise CoercivityError(
-            f"stated bound {c} exceeds the smallest form eigenvalue {float(lam[0]):.12g}"
-        )
+    lam = _bounded_below(space, form, c, tol)
     shift = 1.0 - c
-    shifted = LinOp(
-        domain=space,
-        codomain=space,
-        matrix=a.matrix + shift * np.eye(space.dim),
-    )
-    ext = friedrichs(space, shifted, tol=tol)
-    return LinOp(
-        domain=space,
-        codomain=space,
-        matrix=ext.matrix - shift * np.eye(space.dim),
-    )
+    eye = np.eye(space.dim)
+    jj_star, ext = _extension_from_form(space, form + shift * space.matrix, lam + shift)
+    defect = float(np.max(np.abs(jj_star @ (a.matrix + shift * eye) - eye)))
+    if defect > 1e-6:
+        raise OperatorError(f"extension failed the fixed-point identity: defect {defect:.3e}")
+    return LinOp(domain=space, codomain=space, matrix=ext - shift * eye)
 
 
 def form_operator_roundtrip(space: InnerSpace, value, direction: str):
     """Translate between closed forms bounded below by the norm and
     self-adjoint operators with spectrum >= 1.
 
-    direction "form_to_operator": ``value`` is the form Gram q on the
-    space's basis with q >= G; returns the operator A with
+    direction "form_to_operator": ``value`` is the symmetric form Gram q
+    on the space's basis with q >= G; returns the operator A with
     q(u, v) = <u, A v>, built through the inclusion route.
 
     direction "operator_to_form": ``value`` is a self-adjoint LinOp with
@@ -364,24 +337,17 @@ def form_operator_roundtrip(space: InnerSpace, value, direction: str):
     """
     if direction == "form_to_operator":
         q = value.matrix if isinstance(value, GramMatrix) else np.asarray(value, dtype=float)
-        q = _sym(q)
         if q.shape != (space.dim, space.dim):
             raise OperatorError(f"form Gram has shape {q.shape}, expected square of dim {space.dim}")
-        lam = sla.eigh(q, space.matrix, eigvals_only=True)
-        if float(lam[0]) < 1.0 - 1e-10:
-            raise CoercivityError(
-                f"form is not bounded below by the inner product: eigenvalue {float(lam[0]):.12g}"
-            )
-        return _extension_from_form(space, q)
+        q = _symmetric(q, 1e-10, "form Gram is not symmetric")
+        _, ext = _extension_from_form(space, q, _bounded_below(space, q))
+        return LinOp(domain=space, codomain=space, matrix=ext)
     if direction == "operator_to_form":
         a = value
         if not (a.domain.compatible(space) and a.codomain.compatible(space)):
             raise OperatorError("operator must act on the given space")
-        lam, vec = _self_adjoint_eigh(space, a.matrix)
-        if float(lam[0]) < 1.0 - 1e-10:
-            raise CoercivityError(
-                f"operator spectrum must be >= 1, found {float(lam[0]):.12g}"
-            )
+        form = _self_adjoint_form(space, a.matrix, 1e-10, "operator is not self-adjoint")
+        lam, vec = _bounded_below(space, form, vectors=True)
         # A^{1/2} = V sqrt(lam) V^{-1} with V^{-1} = V' G
         root = vec @ (np.sqrt(np.clip(lam, 0.0, None))[:, None] * (vec.T @ space.matrix))
         q = _sym(root.T @ space.matrix @ root)
@@ -407,9 +373,7 @@ def krein_lambda(h1: InnerSpace, h2_gram, tol: float = 1e-10) -> LinOp:
             f"second Gram has shape {g2.shape}, expected ({h1.dim}, {h1.dim})"
         )
     scale = 1.0 + float(np.abs(g2).max(initial=0.0))
-    if float(np.max(np.abs(g2 - g2.T), initial=0.0)) > tol * scale:
-        raise OperatorError("second Gram is not symmetric")
-    g2 = _sym(g2)
+    g2 = _symmetric(g2, tol, "second Gram is not symmetric")
     eig_min = float(np.linalg.eigvalsh(g2)[0])
     if eig_min < -tol * scale:
         raise OperatorError(
@@ -479,7 +443,8 @@ def spectral_measure(lam_op: LinOp, phi, tol: float = 1e-8) -> SpectralMeasure:
     if not lam_op.is_endomorphism():
         raise OperatorError("spectral measure needs an endomorphism")
     space = lam_op.domain
-    lam, vec = _self_adjoint_eigh(space, lam_op.matrix, tol=tol)
+    form = _self_adjoint_form(space, lam_op.matrix, tol, "operator is not self-adjoint")
+    lam, vec = sla.eigh(form, space.matrix)
     scale = 1.0 + float(np.abs(lam).max(initial=0.0))
     if float(lam[0]) < -tol * scale:
         raise OperatorError(

@@ -231,8 +231,6 @@ def _exhaust(generator, x, tol, k_max, stride=1, recurrence_ratio=math.inf):
     <= ``k_max``.  Returns (verdict, report, last truncation, its potential)."""
     if not isinstance(generator, GraphGenerator):
         raise NetworkError(f"expected a generator, got {type(generator).__name__}")
-    if not generator.unbounded or generator.max_level is not None:
-        raise SolverError("wired exhaustion requires an unbounded generator")
     if k_max < 1:
         raise NetworkError(f"k_max must be >= 1, got {k_max}")
     if stride < 1:

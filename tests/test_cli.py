@@ -149,6 +149,10 @@ def test_friedrichs_verb(tmp_path, capsys):
         ["friedrichs", "--gram", str(gram), "--operator", str(bad), "--bound", "0.1"]
     )
     assert rc == 0
+    for bound in ("nan", "-inf"):
+        rc = main(["friedrichs", "--gram", str(gram), "--operator", str(bad), f"--bound={bound}"])
+        assert rc == 1
+        assert "error: lower bound must be a finite number" in capsys.readouterr().err
 
 
 def test_krein_and_spectral_verbs(tmp_path, capsys):
@@ -169,6 +173,46 @@ def test_krein_and_spectral_verbs(tmp_path, capsys):
         ["spectral", "--gram", str(gram), "--gram2", str(gram2), "--phi", "1,2,3"]
     )
     assert rc == 1  # dimension mismatch is a runtime failure
+
+
+@pytest.mark.parametrize("verb, flag", [
+    ("friedrichs", "--operator"), ("krein", "--gram2"), ("spectral", "--gram2"),
+])
+def test_mislabelled_matrix_file_is_refused(verb, flag, tmp_path, capsys):
+    gram = _write_json(tmp_path, "g.json", {"labels": ["x", "y"], "matrix": [[1.0, 0.0], [0.0, 1.0]]})
+    matrix = [[2.0, 0.0], [0.0, 5.0]]
+    swapped = _write_json(tmp_path, "a.json", {"labels": ["y", "x"], "matrix": matrix})
+    rc = main([verb, "--gram", str(gram), flag, str(swapped)])
+    assert rc == 1
+    assert re.search(r"^error: .*a\.json: labels .* do not match the --gram labels", capsys.readouterr().err)
+    # same labels in the same order, or no labels at all, are read as given
+    for doc in ({"labels": ["x", "y"], "matrix": matrix}, matrix):
+        rc = main([verb, "--gram", str(gram), flag, str(_write_json(tmp_path, "b.json", doc))])
+        assert rc == 0
+    # an unlabelled --gram space is labelled 0, 1, ...
+    plain = _write_json(tmp_path, "plain.json", [[1.0, 0.0], [0.0, 1.0]])
+    rc = main([verb, "--gram", str(plain), flag, str(swapped)])
+    assert rc == 1
+
+
+def test_operator_artifacts_key_tuple_labels_like_every_artifact(tmp_path):
+    graph = tmp_path / "lat.json"
+    assert main(["generate", "--generator", "lattice", "--param", "d=2", "--param", "radius=1",
+                 "--out", str(tmp_path)]) == 0
+    (tmp_path / "lattice.json").rename(graph)
+    for fmt in ("json", "csv"):
+        out = tmp_path / fmt
+        assert main(["kl", "--graph", str(graph), "--format", fmt, "--out", str(out)]) == 0
+        assert main(["kernel", "--graph", str(graph), "--vertex", "1,0", "--format", fmt,
+                     "--out", str(out)]) == 0
+    kernel_keys = list(json.loads((tmp_path / "json" / "kernel_1,0.json").read_text())["values"])
+    doc = json.loads((tmp_path / "json" / "kl_k.json").read_text())
+    assert doc["domain_labels"] == kernel_keys
+    assert "-1,0" in doc["domain_labels"]
+    with open(tmp_path / "csv" / "kl_k.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][1:] == kernel_keys
+    assert [r[0] for r in rows[1:]] == [k for k in kernel_keys if k != "0,0"]
 
 
 def test_kl_verb(p3_file, tmp_path):

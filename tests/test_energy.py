@@ -7,12 +7,13 @@ from hypothesis.extra.numpy import arrays
 from netenergy import (
     EnergyVector,
     GramMatrix,
+    InnerSpace,
     Network,
     NetworkError,
+    OperatorError,
     energy_form,
     energy_pairings,
     gram,
-    l2_inner,
     to_energy_vector,
 )
 
@@ -25,7 +26,7 @@ def test_hand_checked_values(p3):
     v = np.array([2.0, 1.0, 1.0])
     assert energy_form(p3, u) == pytest.approx(9.0)
     assert energy_form(p3, u, v) == pytest.approx(-1.0)
-    assert l2_inner(p3, u, v) == pytest.approx(4.0)
+    assert gram("l2", p3, [u, v]).matrix[0, 1] == pytest.approx(4.0)
 
 
 def test_constants_are_the_kernel(p3):
@@ -102,7 +103,7 @@ def test_energy_gram_of_kernel_elements(p3):
     np.testing.assert_allclose(g.matrix, [[1.0, 1.0], [1.0, 1.5]])
     assert g.labels == ("a", "b")
     assert g.dim == 2
-    assert g.is_positive_definite()
+    InnerSpace(gram=g)  # positive definite
 
 
 def test_l2_gram_uses_raw_representatives(p3):
@@ -122,6 +123,8 @@ def test_gram_matrix_validation():
     with pytest.raises(ValueError, match="symmetric"):
         GramMatrix(labels=("x", "y"), matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
     g = GramMatrix(labels=("x", "y"), matrix=np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert g.dim == 2 and g.is_positive_definite()
+    assert g.dim == 2
+    InnerSpace(gram=g)  # positive definite
     singular = GramMatrix(labels=("x", "y"), matrix=np.ones((2, 2)))
-    assert not singular.is_positive_definite()
+    with pytest.raises(OperatorError, match="not positive definite"):
+        InnerSpace(gram=singular)

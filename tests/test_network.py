@@ -53,11 +53,14 @@ def test_laplacian_apply_matches_matrix(p3, rng):
 
 def test_delta_conductance_neighbors(p3):
     np.testing.assert_array_equal(p3.delta("a"), [0.0, 1.0, 0.0])
-    assert p3.conductance("a") == 3.0
-    assert p3.edge_conductance("a", "b") == 2.0
-    assert p3.edge_conductance("b", "a") == 2.0
-    assert p3.edge_conductance("o", "b") == 0.0
-    assert sorted(p3.neighbors("a")) == [("b", 2.0), ("o", 1.0)]
+    o, a, b = (p3.index(x) for x in ("o", "a", "b"))
+    w = p3.weight_matrix
+    assert p3.conductances[a] == 3.0
+    assert w[a, b] == 2.0
+    assert w[b, a] == 2.0
+    assert w[o, b] == 0.0
+    row = w[[a]]
+    assert sorted(zip((p3.labels[j] for j in row.indices), row.data)) == [("b", 2.0), ("o", 1.0)]
 
 
 def test_as_array_and_dict(p3):

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from netenergy import (
     CoercivityError,
@@ -16,7 +19,6 @@ from netenergy import (
     network_kl,
     operator_norm,
     pair_spectrum_check,
-    semibounded_friedrichs,
     solve_dipoles,
     spectral_measure,
     verify_pair,
@@ -101,7 +103,8 @@ def test_operator_norm_diagonal():
     h = InnerSpace.standard(2)
     op = LinOp(domain=h, codomain=h, matrix=np.diag([3.0, 1.0]))
     assert operator_norm(op) == pytest.approx(3.0)
-    assert op.symmetry_defect() == 0.0
+    s = h.matrix @ op.matrix
+    assert np.max(np.abs(s - s.T)) == 0.0
 
 
 def test_pair_spectrum_check_detects_scaling(rng):
@@ -140,15 +143,86 @@ def test_friedrichs_refuses_non_coercive():
     a = LinOp(domain=space, codomain=space, matrix=0.5 * np.eye(2))
     with pytest.raises(CoercivityError):
         friedrichs(space, a)
+    # the slack below the bound c is tol, whatever c is
+    a = LinOp(domain=space, codomain=space, matrix=np.diag([1.0 - 5e-11, 2.0]))
+    friedrichs(space, a)
+    a = LinOp(domain=space, codomain=space, matrix=np.diag([1.0 - 2e-10, 2.0]))
+    with pytest.raises(CoercivityError):
+        friedrichs(space, a)
+    a = LinOp(domain=space, codomain=space, matrix=np.diag([-1e3, 1.0]))
+    friedrichs(space, a, c=-1e3 + 5e-11)
+    with pytest.raises(CoercivityError, match="bounded below by -999.9999999998"):
+        friedrichs(space, a, c=-1e3 + 2e-10)
+    a = LinOp(domain=space, codomain=space, matrix=np.diag([1e12 - 50.0, 1e12]))
+    with pytest.raises(CoercivityError):
+        friedrichs(space, a, c=1e12)
 
 
 def test_semibounded_shifts_and_returns():
     space = InnerSpace.standard(2)
     a = LinOp(domain=space, codomain=space, matrix=np.diag([-1.0, 2.0]))
-    ext = semibounded_friedrichs(space, a, c=-1.0)
+    ext = friedrichs(space, a, c=-1.0)
     np.testing.assert_allclose(ext.matrix, a.matrix, atol=1e-9)
     with pytest.raises(CoercivityError, match="bound"):
-        semibounded_friedrichs(space, a, c=0.0)
+        friedrichs(space, a, c=0.0)
+
+
+def test_semibounded_bound_is_one_shift_of_the_coercive_route(rng):
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        g = _spd(rng, n)
+        space = InnerSpace.from_matrix(g)
+        form = _spd(rng, n, shift=0.05) - 3.0 * g  # smallest eigenvalue > -3
+        c = float(sla.eigh(form, g, eigvals_only=True)[0]) - float(rng.uniform(0.0, 2.0))
+        a = LinOp(domain=space, codomain=space, matrix=space.solve_gram(form))
+        ext = friedrichs(space, a, c=c)
+        # the route it replaces: shift A itself, extend coercively, shift back
+        s = (1.0 - c) * np.eye(n)
+        shifted = friedrichs(space, LinOp(domain=space, codomain=space, matrix=a.matrix + s))
+        scale = 1.0 + np.abs(a.matrix).max()
+        assert np.max(np.abs(ext.matrix - (shifted.matrix - s))) / scale < 1e-12
+        assert np.max(np.abs(ext.matrix - a.matrix)) / scale < 1e-8
+
+
+def test_friedrichs_factors_each_matrix_once(monkeypatch, rng):
+    g = _spd(rng, 6)
+    space = InnerSpace.from_matrix(g)
+    form = g + _spd(rng, 6, shift=0.05)
+    a = LinOp(domain=space, codomain=space, matrix=space.solve_gram(form))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "cho_factor", "lu_factor", "svd"):
+        monkeypatch.setattr(sla, name, counted(name, getattr(sla, name)))
+    for name in ("svd", "cond", "solve", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    for c in (1.0, -2.0):
+        calls.clear()
+        ext = friedrichs(space, a, c=c)
+        np.testing.assert_allclose(ext.matrix, a.matrix, atol=1e-8)
+        assert sorted(name for name, _ in calls) == ["cho_factor", "eigh", "lu_factor"]
+        # the one Cholesky is of the (shifted) form Gram: the space's own
+        # Gram was factored when the space was built
+        form_gram = dict(calls)["cho_factor"]
+        np.testing.assert_allclose(form_gram, form + (1.0 - c) * g, rtol=1e-12)
+
+
+def test_friedrichs_warns_on_ill_conditioned_inclusion():
+    space = InnerSpace.standard(2)
+    stiff = LinOp(domain=space, codomain=space, matrix=np.diag([1.0, 1e13]))
+    with pytest.warns(RuntimeWarning, match="ill conditioned"):
+        friedrichs(space, stiff)
+    # the condition number is that of the shifted form, 2 here
+    shifted = LinOp(domain=space, codomain=space, matrix=np.diag([-1e13, 1.0 - 1e13]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ext = friedrichs(space, shifted, c=-1e13)
+    np.testing.assert_array_equal(ext.matrix, shifted.matrix)
 
 
 def test_roundtrip_standard_space():
@@ -166,6 +240,12 @@ def test_roundtrip_validates_inputs():
         form_operator_roundtrip(space, 0.5 * np.eye(2), "form_to_operator")
     with pytest.raises(OperatorError, match="direction"):
         form_operator_roundtrip(space, np.eye(2), "sideways")
+    with pytest.raises(OperatorError, match="not symmetric"):
+        form_operator_roundtrip(space, [[2.0, 1.0], [0.0, 2.0]], "form_to_operator")
+    # asymmetry at rounding level is symmetrized, as in krein_lambda
+    q = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+    a = form_operator_roundtrip(space, q, "form_to_operator")
+    np.testing.assert_allclose(a.matrix, 0.5 * (q + q.T), atol=1e-12)
 
 
 # -- the canonical second-inner-product operator ---------------------------
