@@ -31,6 +31,7 @@ from .network import (
     load_network,
     network_to_json,
     read_json,
+    write_json as _write_json,  # bench/tracer.py times artifact writes under this name
 )
 from .operators import (
     InnerSpace,
@@ -125,6 +126,8 @@ def _load_matrix(path, space_labels=None):
     doc = read_json(path, "matrix", OperatorError)
     if isinstance(doc, dict) and "matrix" in doc:
         labels = doc.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise OperatorError(f"{path}: labels must be a JSON array, got {labels!r}")
         matrix = np.asarray(doc["matrix"], dtype=float)
     elif isinstance(doc, list):
         labels = None
@@ -151,12 +154,6 @@ def _load_measure(path) -> measures.DiscreteMeasure:
 # module writes floats at full round-trip precision.  Both are called only
 # when their artifact is written, one artifact at a time, so a verb with
 # several large artifacts never holds more than one in memory.
-
-
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _emit(args, artifacts: dict, echo: bool = True) -> None:

@@ -12,6 +12,12 @@ the induced graph on ``G_k`` with every edge leaving ``G_k`` rewired to a
 single grounded vertex, parallel conductances summed.  Solvers pin the
 ground to potential zero, which is the wired (shorted exterior) boundary
 condition.
+
+:func:`truncate` and the level builders :func:`binary_tree`,
+:func:`lattice` and :func:`geometric_line` are one pass: each edge of
+``G_k`` is kept as a pair of level positions and the arrays go to
+:meth:`~netenergy.network.Network.from_arrays`, with one ground column
+appended for a wired truncation whose exterior is not empty.
 """
 
 from __future__ import annotations
@@ -46,42 +52,45 @@ class GraphGenerator(abc.ABC):
         :func:`truncate` raises :class:`~netenergy.network.NetworkError` if not."""
 
 
-def _level_edges(generator: GraphGenerator, k: int) -> tuple[list, list, dict]:
-    """(G_k, the edges induced on G_k, conductance to the exterior per vertex
-    of G_k that has any); the last is empty when the generator is exhausted.
-    Each induced edge is kept as listed at its end that comes first in G_k."""
+def _level_network(generator: GraphGenerator, k: int, wired: bool) -> Network:
+    """The network induced on G_k; when ``wired`` and some edge leaves G_k,
+    one ground vertex is appended that takes each vertex's summed
+    conductance to the exterior.  Each induced edge is kept as listed at its
+    end that comes first in G_k."""
     level = list(generator.level(k))
     n = len(level)
     pos = dict(zip(level, range(n)))
     if generator.origin not in pos:
         raise NetworkError("origin is not contained in the level set")
 
-    edges: list[tuple[object, object, float]] = []
     exterior: dict = {}
     lower, upper = [], []  # (i * n + j, c) for an edge i < j, as listed at i and at j
     for i, x in enumerate(level):
         for y, c in generator.neighbors(x):
             j = pos.get(y)
             if j is None:
-                exterior[x] = exterior.get(x, 0.0) + c
+                exterior[i] = exterior.get(i, 0.0) + c
             elif i < j:
-                edges.append((x, y, c))
                 lower.append((i * n + j, c))
             elif j < i:
                 upper.append((j * n + i, c))
             else:
                 raise NetworkError(f"generator produced a self loop at {x!r}")
-    _check_listing(level, lower, upper)
-    if exterior and GROUND in pos:
-        raise NetworkError("level set collides with the ground label")
-    return level, edges, exterior
-
-
-def _check_listing(level: list, lower: list, upper: list) -> None:
-    """Raise unless every edge induced on ``level`` is listed once at each
-    end, with conductances equal to relative 1e-12 (see :func:`_level_edges`)."""
     lo, up = (np.array(s, dtype=float).reshape(-1, 2) for s in (lower, upper))
-    lo, up = (a[np.argsort(a[:, 0])] for a in (lo, up))
+    _check_listing(level, lo, up)
+    u, v = np.divmod(lo[:, 0].astype(np.int64), n)
+    c, ground = lo[:, 1], None
+    if wired and exterior:
+        level.append(GROUND)
+        u, v = np.append(u, list(exterior)), np.append(v, [n] * len(exterior))
+        c, ground = np.append(c, list(exterior.values())), n
+    return Network.from_arrays(level, u, v, c, pos[generator.origin], ground)
+
+
+def _check_listing(level: list, lower: np.ndarray, upper: np.ndarray) -> None:
+    """Raise unless every edge induced on ``level`` is listed once at each
+    end, with conductances equal to relative 1e-12 (see :func:`_level_network`)."""
+    lo, up = (a[np.argsort(a[:, 0])] for a in (lower, upper))
     if lo.shape == up.shape and (lo[:, 0] == up[:, 0]).all() and (np.diff(lo[:, 0]) > 0).all():
         bad = np.flatnonzero(np.abs(lo[:, 1] - up[:, 1]) > 1e-12 * np.abs(lo[:, 1]))
         if not bad.size:
@@ -91,7 +100,7 @@ def _check_listing(level: list, lower: list, upper: list) -> None:
         n_lo, n_up = Counter(lo[:, 0].tolist()), Counter(up[:, 0].tolist())
         key = min(key for key in n_lo | n_up if (n_lo[key], n_up[key]) != (1, 1))
     x, y = (level[i] for i in divmod(int(key), len(level)))
-    at_x, at_y = ([c for k, c in s if k == key] for s in (lower, upper))
+    at_x, at_y = (a[a[:, 0] == key, 1].tolist() for a in (lower, upper))
     what = "duplicate edge" if max(len(at_x), len(at_y)) > 1 else "asymmetric neighbor rule at"
     raise NetworkError(f"{what} ({x!r}, {y!r}): conductances {at_x} at {x!r}, {at_y} at {y!r}")
 
@@ -106,11 +115,7 @@ def truncate(generator: GraphGenerator, k: int) -> Network:
     """
     if k < 1:
         raise NetworkError(f"truncation level must be >= 1, got {k}")
-    level, edges, exterior = _level_edges(generator, k)
-    if not exterior:
-        return Network(edges, generator.origin, vertices=level)
-    edges.extend((x, GROUND, c) for x, c in exterior.items())
-    return Network(edges, generator.origin, vertices=level + [GROUND], ground=GROUND)
+    return _level_network(generator, k, wired=True)
 
 
 # -- concrete generator rules ----------------------------------------------
@@ -257,27 +262,21 @@ def binary_tree(depth: int, conductance: float = 1.0) -> Network:
     """Finite rooted binary tree of the given depth, origin at the root."""
     if depth < 1:
         raise NetworkError(f"binary tree needs depth >= 1, got {depth}")
-    gen = BinaryTreeGen(conductance=conductance)
-    level, edges, _ = _level_edges(gen, depth)
-    return Network(edges, gen.origin, vertices=level)
+    return _level_network(BinaryTreeGen(conductance=conductance), depth, wired=False)
 
 
 def lattice(d: int, radius: int, conductance: float = 1.0) -> Network:
     """Graph ball of the given radius in the d-dimensional integer lattice."""
     if radius < 1:
         raise NetworkError(f"lattice ball needs radius >= 1, got {radius}")
-    gen = IntegerLatticeGen(d=d, conductance=conductance)
-    level, edges, _ = _level_edges(gen, radius)
-    return Network(edges, gen.origin, vertices=level)
+    return _level_network(IntegerLatticeGen(d=d, conductance=conductance), radius, wired=False)
 
 
 def geometric_line(ratio: float, n: int) -> Network:
     """First n vertices of the half line with c_{k,k+1} = ratio**k."""
     if n < 2:
         raise NetworkError(f"geometric line needs n >= 2 vertices, got {n}")
-    gen = GeometricLineGen(ratio=ratio)
-    level, edges, _ = _level_edges(gen, n)
-    return Network(edges, gen.origin, vertices=level)
+    return _level_network(GeometricLineGen(ratio=ratio), n, wired=False)
 
 
 def random_network(

@@ -15,6 +15,10 @@ Truncations of unbounded graphs (see :mod:`netenergy.generators`) carry one
 extra grounded vertex that absorbs every edge leaving the truncated region;
 it is flagged on the network so solvers can pin it to potential zero.
 
+A network is built from index arrays by :meth:`Network.from_arrays`, the
+one place where every invariant is checked.  The label constructor
+``Network(edges, origin, ...)`` maps labels to positions and delegates.
+
 Networks are immutable once constructed and all operations are pure, so
 instances can be shared freely across threads.
 """
@@ -22,9 +26,9 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,7 +71,7 @@ class Network:
     """
 
     def __init__(self, edges, origin, vertices=None, ground=None):
-        pairs: list[tuple] = []
+        ends: list = []
         conds: list[float] = []
         for item in edges:
             try:
@@ -75,55 +79,73 @@ class Network:
                 conds.append(float(c))
             except (TypeError, ValueError) as exc:
                 raise NetworkError(f"malformed edge {item!r}") from exc
-            pairs.append((u, v))
-        ends = list(chain.from_iterable(pairs))
-
-        order = list(dict.fromkeys(ends) if vertices is None else vertices)
-        index = dict(zip(order, range(len(order))))
-        if len(index) < len(order):
-            first: dict = {}
-            dup = next(v for i, v in enumerate(order) if first.setdefault(v, i) != i)
-            raise NetworkError(f"duplicate vertex {dup!r}")
+            ends += (u, v)
         try:
-            ij = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends)).reshape(-1, 2)
+            labels = list(dict.fromkeys(ends) if vertices is None else vertices)
+            index = _label_index(labels)
+            ij = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
         except KeyError as exc:
             raise NetworkError(f"edge endpoint {exc.args[0]!r} not in vertex list") from None
-        heads, tails, c = ij.min(axis=1), ij.max(axis=1), np.array(conds, dtype=float)
+        except TypeError:
+            raise NetworkError(f"vertex label {_unhashable(ends)!r} is not hashable") from None
+        if origin not in labels:
+            raise NetworkError(f"origin {origin!r} is not a vertex")
+        if ground is not None and ground not in labels:
+            raise NetworkError(f"ground {ground!r} is not a vertex")
+        ground_index = None if ground is None else index[ground]
+        net = Network.from_arrays(labels, ij[0::2], ij[1::2], conds, index[origin], ground_index)
+        vars(self).update(vars(net))  # adopt the checked state
+
+    @classmethod
+    def from_arrays(cls, labels, u, v, conds, origin_index, ground_index=None) -> Network:
+        """Network on ``labels`` whose k-th edge joins positions ``u[k]`` and
+        ``v[k]`` with conductance ``conds[k]``.  Every check on a network runs
+        here; an error names an edge's labels in the order given."""
+        labels = tuple(labels)
+        index = _label_index(labels)
+        n = len(labels)
+        u, v, c = np.asarray(u), np.asarray(v), np.asarray(conds, float)
+        if not (u.shape == v.shape == c.shape == (c.size,)
+                and all(a.dtype.kind in "iu" for a in (u, v) if a.size)
+                and ((u >= 0) & (u < n) & (v >= 0) & (v < n)).all()):
+            raise NetworkError(f"edge arrays must list integer positions 0..{n - 1}, one per edge")
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+        if not all(isinstance(i, (int, np.integer)) and 0 <= i < n
+                   for i in (origin_index, ground_index) if i is not None):
+            raise NetworkError(f"origin and ground must be integer positions 0..{n - 1}")
+
+        def edge(k) -> tuple:
+            return labels[u[k]], labels[v[k]]
 
         bad = np.flatnonzero(~(np.isfinite(c) & (c > 0.0)))
         if bad.size:
-            raise NetworkError(f"edge {pairs[bad[0]]} has conductance {conds[bad[0]]}, need c > 0")
-        loops = np.flatnonzero(heads == tails)
+            raise NetworkError(f"edge {edge(bad[0])} has conductance {c[bad[0]]}, need c > 0")
+        loops = np.flatnonzero(u == v)
         if loops.size:
-            raise NetworkError(f"self loop at {pairs[loops[0]][0]!r}")
-        _, first_seen = np.unique(heads * len(order) + tails, return_index=True)
+            raise NetworkError(f"self loop at {labels[u[loops[0]]]!r}")
+        heads, tails = np.minimum(u, v), np.maximum(u, v)
+        _, first_seen = np.unique(heads * n + tails, return_index=True)
         if first_seen.size < c.size:
             k = np.setdiff1d(np.arange(c.size), first_seen)[0]
-            raise NetworkError(f"duplicate edge {pairs[k]}")
-        if not order:
-            raise NetworkError("empty network")
-        if origin not in index:
-            raise NetworkError(f"origin {origin!r} is not a vertex")
-        if ground is not None:
-            if ground not in index:
-                raise NetworkError(f"ground {ground!r} is not a vertex")
-            if ground == origin:
-                raise NetworkError("ground vertex cannot be the origin")
+            raise NetworkError(f"duplicate edge {edge(k)}")
+        if ground_index == origin_index:
+            raise NetworkError("ground vertex cannot be the origin")
 
-        self._labels = tuple(order)
-        self._index = index
-        self._heads = heads
-        self._tails = tails
-        self._conds = c
-        self._origin = origin
-        self._ground = ground
-
-        if len(order) > 1:
+        net = cls.__new__(cls)
+        net._labels = labels
+        net._index = index
+        net._heads = heads
+        net._tails = tails
+        net._conds = c
+        net._origin_index = int(origin_index)
+        net._ground_index = None if ground_index is None else int(ground_index)
+        if n > 1:
             if not c.size:
                 raise NetworkError("network with more than one vertex has no edges")
-            ncomp, _ = connected_components(self.weight_matrix, directed=False)
+            ncomp, _ = connected_components(net.weight_matrix, directed=False)
             if ncomp != 1:
                 raise NetworkError(f"graph is disconnected ({ncomp} components)")
+        return net
 
     # -- basic structure ---------------------------------------------------
 
@@ -137,25 +159,23 @@ class Network:
 
     @property
     def origin(self):
-        return self._origin
+        return self._labels[self._origin_index]
 
     @property
     def ground(self):
-        return self._ground
+        return None if self._ground_index is None else self._labels[self._ground_index]
 
     @property
     def origin_index(self) -> int:
-        return self._index[self._origin]
+        return self._origin_index
 
     @property
     def ground_index(self) -> int | None:
-        if self._ground is None:
-            return None
-        return self._index[self._ground]
+        return self._ground_index
 
     @property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge list as parallel arrays ``(heads, tails, conductances)``."""
+        """Edge list as parallel arrays ``(heads, tails, conductances)``, heads < tails."""
         return self._heads, self._tails, self._conds
 
     @property
@@ -172,10 +192,10 @@ class Network:
         return label in self._index
 
     def __repr__(self) -> str:
-        extra = "" if self._ground is None else f", ground={self._ground!r}"
+        extra = "" if self.ground is None else f", ground={self.ground!r}"
         return (
             f"Network({self.n} vertices, {self.n_edges} edges, "
-            f"origin={self._origin!r}{extra})"
+            f"origin={self.origin!r}{extra})"
         )
 
     @cached_property
@@ -247,6 +267,31 @@ class Network:
         return np.delete(np.arange(self.n), excluded)
 
 
+def _unhashable(labels):
+    """The first of ``labels`` that cannot be hashed."""
+    for label in labels:
+        try:
+            hash(label)
+        except TypeError:
+            return label
+
+
+def _label_index(labels) -> dict:
+    """``{label: position}`` over a vertex table; refuses an empty table and
+    unhashable or repeated labels."""
+    if not labels:
+        raise NetworkError("empty network")
+    try:
+        index = dict(zip(labels, range(len(labels))))
+    except TypeError:
+        raise NetworkError(f"vertex label {_unhashable(labels)!r} is not hashable") from None
+    if len(index) < len(labels):
+        first: dict = {}
+        dup = next(v for i, v in enumerate(labels) if first.setdefault(v, i) != i)
+        raise NetworkError(f"duplicate vertex {dup!r}")
+    return index
+
+
 def is_harmonic(net: Network, u, tol: float = 1e-10, boundary=()) -> bool:
     """True iff ``max |lap u|`` over interior vertices is at most ``tol``.
 
@@ -273,7 +318,8 @@ def read_json(path, kind: str, error: type[Exception]):
             raise error(f"invalid {kind} JSON in {path}: {exc}") from exc
 
 
-def _save_json(doc, path) -> None:
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as indented JSON with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -321,7 +367,7 @@ def network_from_json(doc: Mapping) -> Network:
 
 
 def save_network(net: Network, path) -> None:
-    _save_json(network_to_json(net), path)
+    write_json(path, network_to_json(net))
 
 
 def load_network(path) -> Network:
@@ -348,7 +394,9 @@ def function_from_json(net: Network, doc: Mapping) -> np.ndarray:
     for key, value in doc.items():
         if key not in by_key:
             raise NetworkError(f"function value for unknown vertex key {key!r}")
-        vals[by_key[key]] = float(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise NetworkError(f"function value at vertex key {key!r} is not a number: {value!r}")
+        vals[by_key[key]] = value
         filled[by_key[key]] = True
     if not filled.all():
         missing = net.labels[int(np.flatnonzero(~filled)[0])]
@@ -357,7 +405,7 @@ def function_from_json(net: Network, doc: Mapping) -> np.ndarray:
 
 
 def save_function(net: Network, u, path) -> None:
-    _save_json(function_to_json(net, u), path)
+    write_json(path, function_to_json(net, u))
 
 
 def load_function(net: Network, path) -> np.ndarray:

@@ -193,6 +193,12 @@ def test_mislabelled_matrix_file_is_refused(verb, flag, tmp_path, capsys):
     plain = _write_json(tmp_path, "plain.json", [[1.0, 0.0], [0.0, 1.0]])
     rc = main([verb, "--gram", str(plain), flag, str(swapped)])
     assert rc == 1
+    # labels that are not a JSON array, in either file
+    scalar = _write_json(tmp_path, "s.json", {"labels": 5, "matrix": matrix})
+    for argv in (["--gram", str(gram), flag, str(scalar)], ["--gram", str(scalar), flag, str(plain)]):
+        capsys.readouterr()
+        assert main([verb, *argv]) == 1
+        assert f"error: {scalar}: labels must be a JSON array, got 5" in capsys.readouterr().err
 
 
 def test_operator_artifacts_key_tuple_labels_like_every_artifact(tmp_path):
@@ -435,6 +441,16 @@ def test_colliding_vertex_keys_are_refused(tmp_path, capsys):
         assert rc == 1
         assert "error: vertex labels collide" in capsys.readouterr().err
     assert not (tmp_path / "arts").exists()
+
+
+@pytest.mark.parametrize(
+    "label, shown", [({"a": 1}, "{'a': 1}"), ([1, [2]], "(1, [2])")], ids=["object", "nested-array"]
+)
+def test_unhashable_graph_labels_are_runtime_errors(label, shown, tmp_path, capsys):
+    doc = {"vertices": [label, "b"], "origin": "b", "edges": [{"u": label, "v": "b", "c": 1.0}]}
+    graph = _write_json(tmp_path, "g.json", doc)
+    assert main(["kernel", "--graph", str(graph), "--vertex", "b"]) == 1
+    assert f"error: vertex label {shown} is not hashable" in capsys.readouterr().err
 
 
 def test_non_object_function_file_is_runtime_error(p3_file, tmp_path, capsys):

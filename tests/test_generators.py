@@ -11,6 +11,7 @@ from netenergy import (
     GeometricLineGen,
     IntegerLatticeGen,
     IntegerLineGen,
+    Network,
     NetworkError,
     binary_tree,
     cycle,
@@ -147,6 +148,33 @@ def test_truncate_matches_reference(gen, k):
     assert inner == edges
     wired = {net.labels[i]: float(c) for i, j, c in zip(heads, tails, conds) if j == g}
     assert list(wired.items()) == list(ground.items())
+
+
+def test_truncations_and_level_builders_build_from_arrays(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built through the label constructor")
+
+    monkeypatch.setattr(Network, "__init__", refuse)
+    assert truncate(IntegerLatticeGen(d=2), 3).ground == GROUND
+    assert binary_tree(3).n == 15
+    assert lattice(3, 2).n == 25
+    assert geometric_line(2.0, 4).n == 4
+
+
+class _GroundNamedLine(IntegerLineGen):
+    """The integer line with vertex 1 labelled like the ground."""
+
+    def level(self, k):
+        return [GROUND if v == 1 else v for v in super().level(k)]
+
+    def neighbors(self, v):
+        v = 1 if v == GROUND else v
+        return [(GROUND if w == 1 else w, c) for w, c in super().neighbors(v)]
+
+
+def test_level_label_colliding_with_ground_is_refused():
+    with pytest.raises(NetworkError, match=re.escape("duplicate vertex 'ground'")):
+        truncate(_GroundNamedLine(), 2)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

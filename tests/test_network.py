@@ -111,11 +111,62 @@ def test_as_array_and_dict(p3):
         pytest.param(
             [("o", "a", 1.0)], ["o", "a", "o"], "duplicate vertex 'o'", id="repeated-vertex"
         ),
+        pytest.param(
+            [("o", "b", 1.0)], ["o", {"a": 1}, "b"], "vertex label {'a': 1} is not hashable",
+            id="unhashable-vertex",
+        ),
+        pytest.param(
+            [("o", (1, [2]), 1.0)], None, "vertex label (1, [2]) is not hashable",
+            id="unhashable-endpoint",
+        ),
     ],
 )
 def test_invalid_networks_rejected(edges, vertices, msg):
     with pytest.raises(NetworkError, match=re.escape(msg)):
         Network(edges, origin="o", vertices=vertices)
+    # every case that can be written as positions fails the same way from arrays
+    ends = [x for e in edges for x in e[:2]]
+    labels = vertices or [x for i, x in enumerate(ends) if x not in ends[:i]]
+    try:
+        u, v, c = zip(*[(labels.index(x), labels.index(y), float(c)) for x, y, c in edges])
+    except (TypeError, ValueError):  # malformed edge or endpoint missing from the list
+        return
+    with pytest.raises(NetworkError, match=re.escape(msg)):
+        Network.from_arrays(labels, u, v, c, labels.index("o"))
+
+
+@pytest.mark.parametrize(
+    "u, v, c, origin, ground",
+    [
+        ([0, 1], [1, 3], [1.0, 1.0], 0, None),
+        ([0, -1], [1, 2], [1.0, 1.0], 0, None),
+        ([0, 1], [1, 2], [1.0], 0, None),
+        ([[0, 1]], [[1, 2]], [[1.0, 1.0]], 0, None),
+        ([0, 1], [1, 2], [1.0, 1.0], 3, None),
+        ([0, 1], [1, 2], [1.0, 1.0], 0, -1),
+        ([0.0, 1.5], [1, 2], [1.0, 1.0], 0, None),
+        (["0", "1"], [1, 2], [1.0, 1.0], 0, None),
+        ([0, 1], [1, 2], [1.0, 1.0], 0.5, None),
+    ],
+    ids=["endpoint-past-end", "negative-endpoint", "short-conductances", "two-dimensional",
+         "origin-past-end", "negative-ground", "float-endpoint", "string-endpoint", "float-origin"],
+)
+def test_from_arrays_refuses_positions_outside_the_table(u, v, c, origin, ground):
+    with pytest.raises(NetworkError, match=r"integer positions 0\.\.2"):
+        Network.from_arrays(["o", "a", "b"], u, v, c, origin, ground)
+
+
+def test_from_arrays_matches_the_label_constructor():
+    edges = [("b", "a", 2.0), ("o", "a", 1.0), ("b", "ground", 0.5)]
+    by_label = Network(edges, origin="o", vertices=["o", "a", "b", "ground"], ground="ground")
+    by_index = Network.from_arrays(["o", "a", "b", "ground"], [2, 0, 2], [1, 1, 3], [2.0, 1.0, 0.5], 0, 3)
+    assert by_index.labels == by_label.labels
+    assert (by_index.origin, by_index.ground, by_index.ground_index) == ("o", "ground", 3)
+    for got, want in zip(by_index.edge_arrays, by_label.edge_arrays):
+        np.testing.assert_array_equal(got, want)
+    # storage puts the lower position first
+    np.testing.assert_array_equal(by_index.edge_arrays[0], [1, 0, 2])
+    assert network_to_json(by_index) == network_to_json(by_label)
 
 
 def test_origin_must_exist_and_differ_from_ground():
@@ -175,6 +226,9 @@ def test_function_json_missing_vertex(p3):
         function_from_json(p3, {"o": 0.0, "a": 1.0, "b": 2.0, "zz": 9.0})
     with pytest.raises(NetworkError, match="must map vertex keys"):
         function_from_json(p3, [0.0, 1.0, 2.0])
+    for value in ([1], "abc", "1.5", True, None):
+        with pytest.raises(NetworkError, match=re.escape(f"value at vertex key 'o' is not a number: {value!r}")):
+            function_from_json(p3, {"o": value, "a": 1.0, "b": 2.0})
 
 
 def test_function_json_refuses_colliding_keys():

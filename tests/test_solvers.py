@@ -9,6 +9,8 @@ from netenergy import (
     BinaryTreeGen,
     ConvergenceReport,
     GeometricLineGen,
+    IntegerLatticeGen,
+    IntegerLineGen,
     Network,
     NetworkError,
     SolverError,
@@ -18,6 +20,8 @@ from netenergy import (
     geometric_line,
     harmonic_space,
     is_harmonic,
+    network_from_json,
+    network_to_json,
     path,
     random_network,
     royden_project,
@@ -31,6 +35,31 @@ from netenergy import (
 )
 from netenergy import solvers
 from netenergy.solvers import _aitken
+
+
+def _foster_networks():
+    gens = [BinaryTreeGen(), IntegerLineGen(conductance=0.5), GeometricLineGen(ratio=3.0),
+            IntegerLatticeGen(d=3)]
+    for gen in gens:
+        for k in range(1, 5):
+            net = truncate(gen, k)
+            yield pytest.param(net, id=f"{type(gen).__name__}-{k}")
+            yield pytest.param(network_from_json(network_to_json(net)), id=f"{type(gen).__name__}-{k}-json")
+    yield pytest.param(random_network(40, seed=5), id="random")
+    yield pytest.param(cycle(7, conductance=2.5), id="cycle")
+
+
+@pytest.mark.parametrize("net", _foster_networks())
+def test_foster_theorem(net):
+    """Foster: sum over edges of c_xy R(x, y) = n - 1 (the ground counted in n)."""
+    heads, tails, conds = net.edge_arrays
+    cols = np.arange(conds.size)
+    dipoles = np.zeros((net.n, conds.size))
+    dipoles[heads, cols] = 1.0
+    dipoles[tails, cols] = -1.0
+    w = solve_grounded(net, dipoles)
+    r = w[heads, cols] - w[tails, cols]  # R(x, y) across every edge
+    assert float(conds @ r) == pytest.approx(net.n - 1, rel=1e-10)
 
 
 def test_dipole_hand_values(p3):
