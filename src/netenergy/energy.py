@@ -121,10 +121,12 @@ class GramMatrix:
 def gram(space_kind: str, net: Network, vectors, labels=None) -> GramMatrix:
     """Gram matrix of vertex functions under the energy or l2 inner product.
 
-    ``space_kind`` is "energy" or "l2".  Energy grams are computed on
-    canonical representatives (the form is shift-invariant); l2 grams use
-    the representatives as given.
+    ``space_kind`` is "energy" or "l2".  Energy grams are independent of
+    the representatives (the form is shift-invariant); l2 grams use the
+    representatives as given.
     """
+    if space_kind not in ("energy", "l2"):
+        raise ValueError(f"unknown space kind {space_kind!r}, expected 'energy' or 'l2'")
     arrs = []
     for u in vectors:
         if isinstance(u, EnergyVector):
@@ -135,14 +137,11 @@ def gram(space_kind: str, net: Network, vectors, labels=None) -> GramMatrix:
             arrs.append(net.as_array(u))
     if labels is None:
         labels = tuple(range(len(arrs)))
+    v = np.vstack(arrs) if arrs else np.zeros((0, net.n))
     if space_kind == "energy":
-        o = net.origin_index
-        rows = [a - a[o] for a in arrs]
-        m = energy_pairings(net, rows, rows) if rows else np.zeros((0, 0))
-    elif space_kind == "l2":
-        v = np.vstack(arrs) if arrs else np.zeros((0, net.n))
-        m = v @ v.T
-    else:
-        raise ValueError(f"unknown space kind {space_kind!r}, expected 'energy' or 'l2'")
-    m = 0.5 * (m + m.T)
-    return GramMatrix(labels=tuple(labels), matrix=m)
+        # E(u, w) = <B u, B w> with B the sqrt(c)-weighted edge differences;
+        # v @ v.T of one array runs as a symmetric rank-k update
+        heads, tails, conds = net.edge_arrays
+        v = np.take(v, heads, axis=1) - np.take(v, tails, axis=1)
+        v *= np.sqrt(conds)
+    return GramMatrix(labels=tuple(labels), matrix=v @ v.T)

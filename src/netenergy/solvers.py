@@ -9,8 +9,11 @@ full system to be consistent.
 Harmonic extensions (:func:`harmonic_space`, :func:`royden_project`) are
 the same kind of system with a boundary set pinned instead: the Dirichlet
 problem on the vertices off the boundary.  A reduced system is factored
-once per network and pinned set (sparse LU) and reused for every
-right-hand side; above ``DIRECT_LIMIT`` unknowns a Jacobi preconditioned
+once per network and pinned set and reused for every right-hand side.  The
+factorization is a sparse LU ordered by minimum degree on A + A^T with its
+pivots taken from the diagonal, which is safe because every reduced system
+is symmetric positive definite (a nonempty pinned set on a connected
+network).  Above ``DIRECT_LIMIT`` unknowns a Jacobi preconditioned
 conjugate-gradient iteration is used instead, for both kinds of solve.
 
 Solvers return :class:`~netenergy.energy.EnergyVector` classes where the
@@ -34,7 +37,8 @@ from .energy import EnergyVector, energy_form, to_energy_vector
 from .generators import GraphGenerator, truncate
 from .network import Network, NetworkError
 
-#: Largest reduced system handed to the direct sparse factorization.
+#: Largest reduced system handed to the direct sparse factorization
+#: (symmetric minimum-degree ordering, diagonal pivots).
 DIRECT_LIMIT = 10_000
 
 #: Default absolute tolerance on successive monopole energies.
@@ -69,7 +73,13 @@ def _reduced_solver(net: Network, pinned=None):
             return np.zeros_like(b)
     elif keep.size <= DIRECT_LIMIT:
         try:
-            lu = spla.splu(red)
+            # SPD: minimum degree on A + A^T, pivots from the diagonal
+            lu = spla.splu(
+                red,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
         except RuntimeError as exc:
             raise SolverError(f"reduced system is singular: {exc}") from exc
         solve = lu.solve
@@ -142,9 +152,8 @@ def solve_dipoles(net: Network, xs) -> list[EnergyVector]:
     o = net.origin_index
     idxs = [net.index(x) for x in xs]
     rhs = np.zeros((net.n, len(idxs)))
-    for j, xi in enumerate(idxs):
-        rhs[xi, j] += 1.0
-        rhs[o, j] -= 1.0
+    rhs[idxs, np.arange(len(idxs))] = 1.0
+    rhs[o, :] -= 1.0  # the origin's own column cancels to zero
     sols = solve_grounded(net, rhs)
     return [to_energy_vector(net, sols[:, j]) for j in range(sols.shape[1])]
 

@@ -14,6 +14,7 @@ from netenergy import (
     energy_form,
     energy_pairings,
     gram,
+    random_network,
     to_energy_vector,
 )
 
@@ -109,9 +110,19 @@ def test_energy_gram_of_kernel_elements(p3):
 def test_l2_gram_uses_raw_representatives(p3):
     g = gram("l2", p3, [np.ones(3)])
     assert g.matrix[0, 0] == pytest.approx(3.0)
-    # the energy kind re-gauges first, so a constant collapses to zero
+    # the energy kind sees only edge differences, so a constant collapses to zero
     ge = gram("energy", p3, [np.ones(3)])
     assert ge.matrix[0, 0] == 0.0
+
+
+def test_energy_gram_matches_pairings(rng):
+    net = random_network(40, seed=3)
+    # raw representatives: the gram must not depend on the gauge
+    us = [rng.standard_normal(net.n) + rng.standard_normal() for _ in range(7)]
+    g = gram("energy", net, us).matrix
+    np.testing.assert_array_equal(g, g.T)
+    np.testing.assert_allclose(g, energy_pairings(net, us, us), rtol=1e-13, atol=1e-13)
+    assert gram("energy", net, []).matrix.shape == (0, 0)
 
 
 def test_gram_rejects_unknown_kind(p3):

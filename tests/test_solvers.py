@@ -84,6 +84,18 @@ def test_dipole_reproduces_point_evaluations(rng):
             assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def test_batched_dipoles_put_each_source_in_its_own_column():
+    net = random_network(20, seed=2)
+    o = net.origin
+    xs = [net.labels[3], o, net.labels[7], net.labels[3]]
+    batch = solve_dipoles(net, xs)
+    assert batch[1].energy == 0.0 and not batch[1].values.any()
+    for x, v in zip(xs, batch):
+        np.testing.assert_allclose(net.laplacian(v.values), net.delta(x) - net.delta(o),
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(batch[0].values, batch[3].values)
+
+
 def test_effective_resistance_series_parallel(p3):
     assert effective_resistance(p3, "o", "b") == pytest.approx(1.5)
     assert effective_resistance(p3, "o", "a") == pytest.approx(1.0)
@@ -321,20 +333,60 @@ def test_cg_failure_is_solver_error(monkeypatch):
         royden_project(net, np.arange(net.n, dtype=float), boundary=_deepest_and_ground(net))
 
 
-def test_royden_factors_once_per_boundary(monkeypatch, rng):
-    calls = []
+@pytest.fixture
+def factors(monkeypatch):
+    """Every (matrix, factor) pair a sparse LU returns during the test."""
+    out = []
     splu = spla.splu
 
-    def counted_splu(a, *args, **kwargs):
-        calls.append(a.shape)
-        return splu(a, *args, **kwargs)
+    def capturing_splu(a, *args, **kwargs):
+        lu = splu(a, *args, **kwargs)
+        out.append((a, lu))
+        return lu
 
-    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(spla, "splu", capturing_splu)
+    return out
+
+
+def test_royden_factors_once_per_boundary(factors, rng):
     net = truncate(BinaryTreeGen(), 4)
     boundary = [lbl for lbl in net.labels if lbl != net.ground and len(lbl) == 5]
     for order in (boundary, boundary[::-1], boundary):
         royden_project(net, rng.standard_normal(net.n), boundary=order)
     harmonic_space(net, boundary)
-    assert len(calls) == 1
+    assert len(factors) == 1
     solve_grounded(net, net.delta("r"))  # the ground is a different pinned set
-    assert len(calls) == 2
+    assert len(factors) == 2
+
+
+# -- the direct path: symmetric ordering, diagonal pivots -------------------
+
+
+def test_direct_path_fill_and_accuracy(factors, rng):
+    z3 = truncate(IntegerLatticeGen(d=3), 11)
+    effective_resistance(z3, z3.origin, z3.ground)
+    tree = truncate(BinaryTreeGen(), 8)
+    effective_resistance(tree, "r", tree.ground)
+    net = random_network(300, seed=7)
+    effective_resistance(net, net.origin, net.labels[-1])
+    harmonic_space(tree, _deepest_and_ground(tree))
+    assert len(factors) == 4
+
+    a, lu = factors[0]
+    # a minimum-degree ordering of A + A^T: COLAMD with pivoting gives 28
+    assert (lu.L.nnz + lu.U.nnz) / a.nnz <= 15.0
+    for a, lu in factors:
+        b = rng.standard_normal(a.shape[0])
+        x = lu.solve(b)
+        assert np.linalg.norm(a @ x - b) / np.linalg.norm(b) <= 1e-13
+
+
+def test_failed_factorization_is_solver_error(monkeypatch):
+    def singular(*args, **kwargs):
+        # what SuperLU raises on a zero diagonal pivot
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    net = truncate(BinaryTreeGen(), 2)
+    with pytest.raises(SolverError, match="singular"):
+        solve_grounded(net, net.delta("r"))
