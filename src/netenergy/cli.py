@@ -128,14 +128,20 @@ def _load_matrix(path, space_labels=None):
         labels = doc.get("labels")
         if labels is not None and not isinstance(labels, list):
             raise OperatorError(f"{path}: labels must be a JSON array, got {labels!r}")
-        matrix = np.asarray(doc["matrix"], dtype=float)
+        rows = doc["matrix"]
     elif isinstance(doc, list):
         labels = None
-        matrix = np.asarray(doc, dtype=float)
+        rows = doc
     else:
         raise OperatorError(f"{path}: expected a JSON matrix or an object with 'matrix'")
+    try:
+        matrix = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise OperatorError(f"{path}: matrix must be a rectangular array of numbers") from None
     if matrix.ndim != 2:
         raise OperatorError(f"{path}: matrix must be two-dimensional, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise OperatorError(f"{path}: matrix has a non-finite entry")
     if space_labels is not None and labels is not None and list(labels) != list(space_labels):
         raise OperatorError(
             f"{path}: labels {labels} do not match the --gram labels {list(space_labels)}"

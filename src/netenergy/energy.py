@@ -93,6 +93,22 @@ def to_energy_vector(net: Network, u) -> EnergyVector:
     return EnergyVector(net=net, values=rep, energy=energy_form(net, rep))
 
 
+def _symmetric(m: np.ndarray, tol: float, error: type[Exception], name: str) -> np.ndarray:
+    """``m`` itself when it is exactly symmetric, else 0.5 (m + m').
+
+    Raises ``error`` when ``m`` has a non-finite entry or an asymmetry above
+    ``tol`` (1 + max |m|).
+    """
+    if not np.isfinite(m).all():
+        raise error(f"{name} has a non-finite entry")
+    if np.array_equal(m, m.T):
+        return m
+    asym = float(np.abs(m - m.T).max())
+    if not asym <= tol * (1.0 + float(np.abs(m).max())):
+        raise error(f"{name} is not symmetric: asymmetry residual {asym:.3e}")
+    return 0.5 * (m + m.T)
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Labelled symmetric matrix of pairwise inner products."""
@@ -106,9 +122,7 @@ class GramMatrix:
             raise ValueError(f"gram matrix must be square, got shape {m.shape}")
         if len(self.labels) != m.shape[0]:
             raise ValueError("label count does not match matrix size")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(m).max(initial=0.0))):
-            raise ValueError("gram matrix is not symmetric")
-        m = 0.5 * (m + m.T)
+        m = _symmetric(m, 1e-12, ValueError, "gram matrix")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", tuple(self.labels))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import GramMatrix
 from .operators import InnerSpace, LinOp, OperatorError, krein_lambda
 
 #: Largest witness level; 2^n support cells stay comfortably in memory.
@@ -91,7 +90,7 @@ def rn_lambda(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> LinOp:
         )
     g1 = np.diag(mu1.weights)
     g2 = np.diag([mu2.weight_at(p) for p in mu1.points])
-    h1 = InnerSpace(gram=GramMatrix(labels=mu1.points, matrix=g1))
+    h1 = InnerSpace(mu1.points, g1)
     lam = krein_lambda(h1, g2)
     ratios = np.array([mu2.weight_at(p) / mu1.weight_at(p) for p in mu1.points])
     if np.max(np.abs(lam.matrix - np.diag(ratios))) > 1e-12 * (1.0 + ratios.max()):

@@ -1,9 +1,10 @@
 """Symmetric pairs, adjoints, and extensions in Gram coordinates.
 
-A finite-dimensional inner-product space is a labelled basis together with
-a positive-definite Gram matrix G; vectors are coefficient columns and
-<u, v> = u' G v.  A linear map A between two such spaces is the matrix M
-of basis-image coordinates, and its adjoint has the closed form
+A finite-dimensional inner-product space (:class:`InnerSpace`) is a
+positive-definite :class:`~netenergy.energy.GramMatrix` G on a labelled
+basis; vectors are coefficient columns and <u, v> = u' G v.  A linear map
+A between two such spaces is the matrix M of basis-image coordinates, and
+its adjoint has the closed form
 
     A* = G1^{-1} M' G2,
 
@@ -12,7 +13,9 @@ which is all that is needed to verify symmetric pairs (<A phi, psi>_2 =
 inclusion route, compare the nonzero spectra of A*A and B*B, and realize
 the canonical self-adjoint operator Lambda = G1^{-1} G2 of a second inner
 product on the same vectors.  Each space factors its Gram once, when it is
-built.
+built.  Every symmetry check, of a Gram or of the form G M of an operator,
+is the one rule of ``energy._symmetric``: finite entries, asymmetry within
+a tolerance relative to the scale, and the symmetric part as the result.
 
 The Friedrichs construction deliberately walks the general route (the form
 space H_A, the inclusion J, its adjoint, and the inverse of JJ* obtained by
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .energy import GramMatrix, energy_pairings, gram
+from .energy import GramMatrix, _symmetric, energy_pairings, gram
 from .network import Network, NetworkError, label_key
 from .solvers import solve_dipoles
 
@@ -52,26 +55,16 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _symmetric(m: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """The symmetric part of ``m``; raises ``what`` when ``m`` is not
-    symmetric within ``tol`` relative to its scale."""
-    scale = 1.0 + float(np.abs(m).max(initial=0.0))
-    asym = float(np.max(np.abs(m - m.T), initial=0.0))
-    if asym > tol * scale:
-        raise OperatorError(f"{what}: asymmetry residual {asym:.3e}")
-    return _sym(m)
-
-
 @dataclass(frozen=True)
-class InnerSpace:
-    """Finite-dimensional inner-product space in a fixed labelled basis."""
-
-    gram: GramMatrix
+class InnerSpace(GramMatrix):
+    """Finite-dimensional inner-product space in a fixed labelled basis: a
+    positive-definite Gram matrix, factored once when it is built."""
 
     def __post_init__(self):
+        super().__post_init__()
         try:
-            chol = sla.cho_factor(self.matrix)
-        except ValueError:  # LinAlgError, or a non-finite entry
+            chol = sla.cho_factor(self.matrix, check_finite=False)
+        except sla.LinAlgError:
             raise OperatorError("inner-product Gram is not positive definite") from None
         object.__setattr__(self, "_chol", chol)
 
@@ -80,23 +73,11 @@ class InnerSpace:
         m = np.asarray(matrix, dtype=float)
         if labels is None:
             labels = tuple(range(m.shape[0]))
-        return cls(gram=GramMatrix(labels=tuple(labels), matrix=m))
+        return cls(tuple(labels), m)
 
     @classmethod
     def standard(cls, n: int, labels=None) -> "InnerSpace":
         return cls.from_matrix(np.eye(n), labels=labels)
-
-    @property
-    def labels(self) -> tuple:
-        return self.gram.labels
-
-    @property
-    def dim(self) -> int:
-        return self.gram.dim
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.gram.matrix
 
     def solve_gram(self, b: np.ndarray) -> np.ndarray:
         """Solve G x = b (b may be a matrix of columns)."""
@@ -211,12 +192,6 @@ def verify_pair(a: LinOp, b: LinOp, tol: float = 1e-10) -> SymmetricPairReport:
     )
 
 
-def _self_adjoint_form(space: InnerSpace, matrix: np.ndarray, tol: float, what: str):
-    """The symmetrized form G M of an operator on ``space``; raises ``what``
-    when G M is not symmetric within ``tol`` relative to its scale."""
-    return _symmetric(space.matrix @ matrix, tol, what)
-
-
 def _bounded_below(space: InnerSpace, form: np.ndarray, c=1.0, tol=1e-10, vectors=False):
     """Generalized eigenvalues of (form, G), ascending (and, with
     ``vectors``, the eigenvectors V with V' G V = I, as ``sla.eigh`` returns
@@ -311,7 +286,7 @@ def friedrichs(space: InnerSpace, a: LinOp, c: float = 1.0, tol: float = 1e-10) 
         raise OperatorError("operator must act on the given space")
     if not np.isfinite(c):
         raise OperatorError(f"lower bound must be a finite number, got {c!r}")
-    form = _self_adjoint_form(space, a.matrix, tol, "operator is not symmetric")
+    form = _symmetric(space.matrix @ a.matrix, tol, OperatorError, "operator")
     lam = _bounded_below(space, form, c, tol)
     shift = 1.0 - c
     eye = np.eye(space.dim)
@@ -339,14 +314,14 @@ def form_operator_roundtrip(space: InnerSpace, value, direction: str):
         q = value.matrix if isinstance(value, GramMatrix) else np.asarray(value, dtype=float)
         if q.shape != (space.dim, space.dim):
             raise OperatorError(f"form Gram has shape {q.shape}, expected square of dim {space.dim}")
-        q = _symmetric(q, 1e-10, "form Gram is not symmetric")
+        q = _symmetric(q, 1e-10, OperatorError, "form Gram")
         _, ext = _extension_from_form(space, q, _bounded_below(space, q))
         return LinOp(domain=space, codomain=space, matrix=ext)
     if direction == "operator_to_form":
         a = value
         if not (a.domain.compatible(space) and a.codomain.compatible(space)):
             raise OperatorError("operator must act on the given space")
-        form = _self_adjoint_form(space, a.matrix, 1e-10, "operator is not self-adjoint")
+        form = _symmetric(space.matrix @ a.matrix, 1e-10, OperatorError, "operator")
         lam, vec = _bounded_below(space, form, vectors=True)
         # A^{1/2} = V sqrt(lam) V^{-1} with V^{-1} = V' G
         root = vec @ (np.sqrt(np.clip(lam, 0.0, None))[:, None] * (vec.T @ space.matrix))
@@ -373,7 +348,7 @@ def krein_lambda(h1: InnerSpace, h2_gram, tol: float = 1e-10) -> LinOp:
             f"second Gram has shape {g2.shape}, expected ({h1.dim}, {h1.dim})"
         )
     scale = 1.0 + float(np.abs(g2).max(initial=0.0))
-    g2 = _symmetric(g2, tol, "second Gram is not symmetric")
+    g2 = _symmetric(g2, tol, OperatorError, "second Gram")
     eig_min = float(np.linalg.eigvalsh(g2)[0])
     if eig_min < -tol * scale:
         raise OperatorError(
@@ -416,9 +391,9 @@ class SpectralMeasure:
         lams = [r[0] for r in rows]
         if any(b < a for a, b in zip(lams, lams[1:])):
             raise ValueError("atom eigenvalues must be nondecreasing")
-        if any(w < 0.0 for _, w in rows):
+        if not all(w >= 0.0 for _, w in rows):
             raise ValueError("atom weights must be nonnegative")
-        if any(l < 0.0 for l, _ in rows):
+        if not all(l >= 0.0 for l, _ in rows):
             raise ValueError("atom eigenvalues must be nonnegative")
         object.__setattr__(self, "atoms", rows)
 
@@ -442,8 +417,11 @@ def spectral_measure(lam_op: LinOp, phi, tol: float = 1e-8) -> SpectralMeasure:
     """
     if not lam_op.is_endomorphism():
         raise OperatorError("spectral measure needs an endomorphism")
+    phi = np.asarray(phi, dtype=float)
+    if not np.isfinite(phi).all():
+        raise OperatorError("phi has a non-finite entry")
     space = lam_op.domain
-    form = _self_adjoint_form(space, lam_op.matrix, tol, "operator is not self-adjoint")
+    form = _symmetric(space.matrix @ lam_op.matrix, tol, OperatorError, "operator")
     lam, vec = sla.eigh(form, space.matrix)
     scale = 1.0 + float(np.abs(lam).max(initial=0.0))
     if float(lam[0]) < -tol * scale:
@@ -451,7 +429,7 @@ def spectral_measure(lam_op: LinOp, phi, tol: float = 1e-8) -> SpectralMeasure:
             f"operator is not nonnegative: eigenvalue {float(lam[0]):.3e}"
         )
     lam = np.clip(lam, 0.0, None)
-    weights = (vec.T @ (space.matrix @ np.asarray(phi, dtype=float))) ** 2
+    weights = (vec.T @ (space.matrix @ phi)) ** 2
     order = np.argsort(lam, kind="stable")
     return SpectralMeasure(atoms=tuple((float(lam[i]), float(weights[i])) for i in order))
 
@@ -459,73 +437,48 @@ def spectral_measure(lam_op: LinOp, phi, tol: float = 1e-8) -> SpectralMeasure:
 # -- the network symmetric pair --------------------------------------------
 
 
-def _dirac_set(net: Network, dirac_set) -> list:
-    """The given Dirac labels, each checked to be a vertex, or by default
-    every non-ground vertex in table order."""
-    if dirac_set is None:
-        return [lbl for lbl in net.labels if net.ground is None or lbl != net.ground]
-    dirac_set = list(dirac_set)
-    for x in dirac_set:
-        net.index(x)
-    return dirac_set
-
-
-def dirac_spaces(net: Network, dirac_set=None) -> tuple[InnerSpace, GramMatrix]:
+def dirac_spaces(net: Network) -> tuple[InnerSpace, GramMatrix]:
     """l2 space of Dirac masses and their energy Gram on one basis.
 
-    Returns (H1, G2): H1 is span{delta_x} with the counting-measure inner
-    product (identity Gram) and G2 holds the energy pairings of the same
-    Diracs, which reproduce the graph-Laplacian entries.  The default
-    basis is every non-ground vertex in table order.
+    Returns (H1, G2) on the basis of every non-ground vertex, in table
+    order: H1 is span{delta_x} with the counting-measure inner product
+    (identity Gram) and G2 holds the energy pairings of the same Diracs,
+    which reproduce the graph-Laplacian entries.
     """
-    dirac_set = _dirac_set(net, dirac_set)
-    deltas = [net.delta(x) for x in dirac_set]
-    g1 = gram("l2", net, deltas, labels=dirac_set)
-    g2 = gram("energy", net, deltas, labels=dirac_set)
-    return InnerSpace(gram=g1), g2
+    labels = [net.labels[i] for i in net.interior_indices()]
+    deltas = [net.delta(x) for x in labels]
+    return InnerSpace.standard(len(labels), labels), gram("energy", net, deltas, labels=labels)
 
 
-def network_kl(net: Network, dirac_set=None, kernels=None) -> tuple[LinOp, LinOp]:
+def network_kl(net: Network) -> tuple[LinOp, LinOp]:
     """The canonical symmetric pair between l2 and the energy space.
 
-    K maps delta_x in l2 to the energy class of the same Dirac, expressed
-    in the kernel basis {v_y: y in dirac_set, y != o}; L maps v_x to
-    delta_x - delta_o in l2.  ``kernels`` may supply precomputed dipoles
-    as a mapping from vertex to EnergyVector (every kernel vertex must be
-    present); otherwise they are solved here in one batch.  The returned
-    operators always satisfy verify_pair; that postcondition is asserted.
+    K maps delta_x in l2 (x any non-ground vertex) to the energy class of
+    the same Dirac, expressed in the kernel basis {v_y: y != o}; L maps
+    v_x to delta_x - delta_o in l2.  The kernels are solved here in one
+    batch.  The returned operators always satisfy verify_pair; that
+    postcondition is asserted.
     """
-    dirac_set = _dirac_set(net, dirac_set)
-    if net.origin not in dirac_set:
-        raise NetworkError("dirac set must contain the origin")
-    kernel_set = [x for x in dirac_set if x != net.origin]
+    labels = [net.labels[i] for i in net.interior_indices()]
+    o_pos = labels.index(net.origin)
+    kernel_set = labels[:o_pos] + labels[o_pos + 1:]
     if not kernel_set:
         raise NetworkError("kernel basis is empty; need a vertex besides the origin")
 
-    if kernels is None:
-        kernel_vecs = solve_dipoles(net, kernel_set)
-    else:
-        try:
-            kernel_vecs = [kernels[x] for x in kernel_set]
-        except KeyError as missing:
-            raise NetworkError(f"kernel not solved for vertex {missing.args[0]!r}") from None
-
-    deltas = [net.delta(x) for x in dirac_set]
-    h1 = InnerSpace(gram=gram("l2", net, deltas, labels=dirac_set))
-    kernel_reps = [v.values for v in kernel_vecs]
-    h2 = InnerSpace(gram=gram("energy", net, kernel_reps, labels=kernel_set))
+    kernel_reps = [v.values for v in solve_dipoles(net, kernel_set)]
+    h1 = InnerSpace.standard(len(labels), labels)
+    g2 = gram("energy", net, kernel_reps, labels=kernel_set)
+    h2 = InnerSpace(g2.labels, g2.matrix)
 
     # K's columns: kernel-basis coordinates of each Dirac class, from the
     # energy pairings <v_y, delta_x>_E
+    deltas = [net.delta(x) for x in labels]
     pair = energy_pairings(net, kernel_reps, deltas)
     k_matrix = h2.solve_gram(pair)
     k_op = LinOp(domain=h1, codomain=h2, matrix=k_matrix)
 
-    o_pos = dirac_set.index(net.origin)
-    l_matrix = np.zeros((len(dirac_set), len(kernel_set)))
-    for j, x in enumerate(kernel_set):
-        l_matrix[dirac_set.index(x), j] += 1.0
-        l_matrix[o_pos, j] -= 1.0
+    # L's columns: +1 in the kernel's own Dirac row, -1 in the origin's row
+    l_matrix = np.insert(np.eye(len(kernel_set)), o_pos, -1.0, axis=0)
     l_op = LinOp(domain=h2, codomain=h1, matrix=l_matrix)
 
     report = verify_pair(k_op, l_op, tol=1e-8)
@@ -547,5 +500,5 @@ def krein_network_extension(k_op: LinOp, l_op: LinOp) -> tuple[LinOp, LinOp]:
     kk = adjoint(k_op) @ k_op
     ll = adjoint(l_op) @ l_op
     for op in (kk, ll):
-        _self_adjoint_form(op.domain, op.matrix, 1e-10, "extension lost self-adjointness")
+        _symmetric(op.domain.matrix @ op.matrix, 1e-10, OperatorError, "extension")
     return kk, ll

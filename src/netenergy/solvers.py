@@ -244,6 +244,8 @@ def _exhaust(generator, x, tol, k_max, stride=1, recurrence_ratio=math.inf):
         raise NetworkError(f"k_max must be >= 1, got {k_max}")
     if stride < 1:
         raise NetworkError(f"stride must be >= 1, got {stride}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise NetworkError(f"tol must be a finite number >= 0, got {tol!r}")
 
     rows = []
     verdict = "inconclusive"

@@ -292,10 +292,9 @@ def check_l2_energy_bound(seed: int) -> CheckResult:
         generators.truncate(generators.IntegerLineGen(), 6),
     ]
     for net in cases:
-        interior = [lbl for lbl in net.labels if net.ground is None or lbl != net.ground]
-        h1 = InnerSpace.standard(len(interior), labels=interior)
-        deltas = [net.delta(x) for x in interior]
-        targets = [x for x in interior if x != net.origin][:6]
+        h1, _ = dirac_spaces(net)
+        deltas = [net.delta(x) for x in h1.labels]
+        targets = [x for x in h1.labels if x != net.origin][:6]
         for v in solve_dipoles(net, targets):
             pairings = energy_pairings(net, deltas, [v.values])[:, 0]
             c = dstar_constant(h1, pairings)

@@ -23,6 +23,15 @@ def _write_json(tmp_path, name, doc):
     return path
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text):
+    """Parse JSON, refusing the NaN and Infinity that json.dump can write."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_resistance_verb(p3_file, tmp_path, capsys):
     out = tmp_path / "arts"
     rc = main(
@@ -95,6 +104,21 @@ def test_monopole_and_transience_verbs(capsys):
     )
     assert rc == 0
     assert "verdict: transient" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb", ["monopole", "transience"])
+def test_exhaustion_tol_must_be_finite_and_nonnegative(verb, capsys):
+    base = [verb, "--generator", "integer_line", "--kmax", "50"]
+    for tol in ("inf", "nan", "-1e-3"):
+        assert main([*base, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: tol must be a finite number >= 0, got {float(tol)!r}" in captured.err
+        assert captured.out == ""
+    # tol = 0 is valid: the recurrent line runs to k_max unconverged
+    assert main([*base, "--tol", "0"]) == 0
+    text = capsys.readouterr().out
+    doc = _strict_json(text[text.index("{"):])
+    assert doc["tol"] == 0.0 and not doc["converged"]
 
 
 def test_transience_lattice_dimension_three(capsys):
@@ -173,6 +197,17 @@ def test_krein_and_spectral_verbs(tmp_path, capsys):
         ["spectral", "--gram", str(gram), "--gram2", str(gram2), "--phi", "1,2,3"]
     )
     assert rc == 1  # dimension mismatch is a runtime failure
+    capsys.readouterr()
+    for phi in ("nan,1", "1,inf"):
+        rc = main(["spectral", "--gram", str(gram), "--gram2", str(gram2), "--phi", phi])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: phi has a non-finite entry" in captured.err
+        assert captured.out == ""
+    assert main(["spectral", "--gram", str(gram), "--gram2", str(gram2), "--phi", "1,1"]) == 0
+    text = capsys.readouterr().out
+    atoms = _strict_json(text[text.index("["):])
+    assert [a["weight"] for a in atoms] == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("verb, flag", [
@@ -199,6 +234,26 @@ def test_mislabelled_matrix_file_is_refused(verb, flag, tmp_path, capsys):
         capsys.readouterr()
         assert main([verb, *argv]) == 1
         assert f"error: {scalar}: labels must be a JSON array, got 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, flag", [
+    ("friedrichs", "--operator"), ("krein", "--gram2"), ("spectral", "--gram2"),
+])
+@pytest.mark.parametrize("text, msg", [
+    ("[[NaN, 0.0], [0.0, 1.0]]", "matrix has a non-finite entry"),
+    ('{"matrix": [[1.0, 0.0], [0.0, Infinity]]}', "matrix has a non-finite entry"),
+    ("[[1.0, 0.0], [0.0, 1e999]]", "matrix has a non-finite entry"),
+    ("[[1.0, null], [0.0, 1.0]]", "matrix has a non-finite entry"),
+    ("[[1.0, 0.0], [0.0]]", "matrix must be a rectangular array of numbers"),
+    ('[[1.0, "x"], [0.0, 1.0]]', "matrix must be a rectangular array of numbers"),
+], ids=["nan", "infinity", "overflow", "null", "ragged", "string"])
+def test_malformed_matrix_file_is_refused(verb, flag, text, msg, tmp_path, capsys):
+    good = _write_json(tmp_path, "good.json", [[2.0, 0.0], [0.0, 5.0]])
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for gram, other in ((bad, good), (good, bad)):
+        assert main([verb, "--gram", str(gram), flag, str(other)]) == 1
+        assert f"error: {bad}: {msg}" in capsys.readouterr().err
 
 
 def test_operator_artifacts_key_tuple_labels_like_every_artifact(tmp_path):
@@ -405,7 +460,7 @@ def test_artifacts_match_printed_paths_and_readme(verb, fmt, inputs, tmp_path, c
     assert written == sorted(str(out / f"{stem}.{fmt}") for stem in stems)
     for path in written:
         if fmt == "json":
-            json.loads(Path(path).read_text())
+            _strict_json(Path(path).read_text())
             continue
         with open(path, newline="") as fh:
             first = next(csv.reader(fh))

@@ -104,7 +104,7 @@ def test_energy_gram_of_kernel_elements(p3):
     np.testing.assert_allclose(g.matrix, [[1.0, 1.0], [1.0, 1.5]])
     assert g.labels == ("a", "b")
     assert g.dim == 2
-    InnerSpace(gram=g)  # positive definite
+    InnerSpace(g.labels, g.matrix)  # positive definite
 
 
 def test_l2_gram_uses_raw_representatives(p3):
@@ -135,7 +135,19 @@ def test_gram_matrix_validation():
         GramMatrix(labels=("x", "y"), matrix=np.array([[1.0, 2.0], [0.0, 1.0]]))
     g = GramMatrix(labels=("x", "y"), matrix=np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert g.dim == 2
-    InnerSpace(gram=g)  # positive definite
+    InnerSpace(g.labels, g.matrix)  # positive definite
     singular = GramMatrix(labels=("x", "y"), matrix=np.ones((2, 2)))
     with pytest.raises(OperatorError, match="not positive definite"):
-        InnerSpace(gram=singular)
+        InnerSpace(singular.labels, singular.matrix)
+    # a non-finite entry is refused, on the diagonal too
+    for bad in (np.nan, np.inf, -np.inf):
+        for m in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                GramMatrix(labels=("x", "y"), matrix=np.array(m))
+    # an exactly symmetric input is stored bit for bit, a rounding-level
+    # asymmetry is symmetrized
+    m = np.array([[0.1, 1.0 / 3.0], [1.0 / 3.0, 2.0 ** -1074]])
+    assert GramMatrix(labels=("x", "y"), matrix=m).matrix.tobytes() == m.tobytes()
+    m = np.array([[2.0, 1.0], [1.0 + 1e-14, 2.0]])
+    np.testing.assert_array_equal(GramMatrix(labels=("x", "y"), matrix=m).matrix, 0.5 * (m + m.T))
+    assert isinstance(InnerSpace.standard(2), GramMatrix)

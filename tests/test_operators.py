@@ -8,7 +8,9 @@ from netenergy import (
     CoercivityError,
     InnerSpace,
     LinOp,
+    Network,
     OperatorError,
+    SpectralMeasure,
     adjoint,
     dirac_spaces,
     dstar_constant,
@@ -274,6 +276,25 @@ def test_krein_lambda_rejects_indefinite(rng):
         krein_lambda(h1, np.diag([1.0, -0.5]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operators_and_grams_are_refused(bad):
+    space = InnerSpace.standard(2)
+    m = np.array([[2.0, 0.0], [0.0, bad]])
+    with pytest.raises(OperatorError, match="operator has a non-finite entry"):
+        friedrichs(space, LinOp(domain=space, codomain=space, matrix=m))
+    with pytest.raises(OperatorError, match="second Gram has a non-finite entry"):
+        krein_lambda(space, m)
+    with pytest.raises(OperatorError, match="operator has a non-finite entry"):
+        spectral_measure(LinOp(domain=space, codomain=space, matrix=m), [1.0, 1.0])
+    lam = krein_lambda(space, np.diag([2.0, 3.0]))
+    with pytest.raises(OperatorError, match="phi has a non-finite entry"):
+        spectral_measure(lam, [1.0, bad])
+    for atom in ((1.0, np.nan), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SpectralMeasure(atoms=(atom,))
+
+
 def test_spectral_measure_diagonal():
     h1 = InnerSpace.standard(2)
     lam = krein_lambda(h1, np.diag([2.0, 3.0]))
@@ -340,14 +361,22 @@ def test_network_kl_independent_kernel_route(p3):
     np.testing.assert_allclose(ll.domain.matrix @ ll.matrix, expect, atol=1e-10)
 
 
-def test_network_kl_accepts_precomputed_kernels(p3):
-    kernels = dict(zip(["a", "b"], solve_dipoles(p3, ["a", "b"])))
-    k_op, l_op = network_kl(p3, kernels=kernels)
+def test_network_kl_basis_with_ground_and_late_origin():
+    # the ground is listed first and the origin third: the Dirac basis is
+    # every other vertex in table order, the kernel basis drops the origin
+    edges = [("g", "a", 1.0), ("a", "b", 2.0), ("b", "o", 0.5), ("o", "c", 3.0), ("c", "g", 1.5)]
+    net = Network(edges, origin="o", vertices=["g", "a", "b", "o", "c"], ground="g")
+    k_op, l_op = network_kl(net)
+    h1, h2 = k_op.domain, k_op.codomain
+    assert h1.labels == ("a", "b", "o", "c")
+    assert h2.labels == ("a", "b", "c")
+    assert h1.matrix.tobytes() == np.eye(4).tobytes()
+    expect = np.zeros((4, 3))
+    expect[[0, 1, 3], [0, 1, 2]] = 1.0  # each kernel's own Dirac row
+    expect[2] = -1.0  # the origin's row
+    np.testing.assert_array_equal(l_op.matrix, expect)
     assert verify_pair(k_op, l_op, tol=1e-10).is_pair
-    from netenergy import NetworkError
-
-    with pytest.raises(NetworkError, match="kernel not solved"):
-        network_kl(p3, kernels={"a": kernels["a"]})
+    assert dirac_spaces(net)[0].labels == h1.labels
 
 
 def test_linop_serialization():

@@ -167,8 +167,8 @@ def test_monopole_vertex_must_be_inside():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda src, k: solve_monopole(src, 0, k_max=k),
-        lambda src, k: transience_probe(src, k_max=k),
+        lambda src, k, **kw: solve_monopole(src, 0, k_max=k, **kw),
+        lambda src, k, **kw: transience_probe(src, k_max=k, **kw),
     ],
     ids=["monopole", "probe"],
 )
@@ -177,6 +177,11 @@ def test_exhaustion_rejects_bad_input(run):
         run(GeometricLineGen(ratio=2.0), 0)
     with pytest.raises(NetworkError, match="expected a generator"):
         run(path(3), 5)
+    # an infinite tol would call any run converged, a NaN one never stops it
+    for tol in (math.inf, -math.inf, math.nan, -1e-9):
+        with pytest.raises(NetworkError, match="tol must be a finite number >= 0"):
+            run(IntegerLineGen(), 50, tol=tol)
+    run(GeometricLineGen(ratio=2.0), 3, tol=0.0)
 
 
 def test_monopole_at_origin_matches_probe():
