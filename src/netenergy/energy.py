@@ -82,9 +82,6 @@ class EnergyVector:
     def __call__(self, x) -> float:
         return float(self.values[self.net.index(x)])
 
-    def as_dict(self) -> dict:
-        return self.net.as_dict(self.values)
-
 
 def to_energy_vector(net: Network, u) -> EnergyVector:
     """Project a vertex function to its energy class (re-gauge at origin)."""

@@ -6,16 +6,18 @@ of the second inner product in the first is then multiplication by the
 density mu2/mu1, which requires mu2 to live inside the support of mu1.
 
 The witness family discretizes the unit interval at ternary resolution n
-(uniform measure lambda_n, cell weight 3^-n) against the n-th Cantor
-approximation (2^n surviving cells, weight 2^-n each).  The least constant
-C_n bounding the Cantor pairing of the constant function against the
-lambda_n norm is exactly (3/2)^(n/2), so log C_n grows linearly: the
-finite-scale shadow of a pairing with no absolutely continuous limit.
+(uniform measure lambda_n, cell weight 3^-n on each of the 3^n cells)
+against the n-th Cantor approximation (2^n surviving cells, weight 2^-n
+each).  The least constant C_n bounding the Cantor pairing of the constant
+function against the lambda_n norm is exactly (3/2)^(n/2), so log C_n
+grows linearly: the finite-scale shadow of a pairing with no absolutely
+continuous limit.  Both weights are uniform, so :func:`cantor_witness`
+computes C_n from the cell counts and weights alone and never lists the
+cells.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +53,6 @@ class DiscreteMeasure:
     @property
     def support(self) -> frozenset:
         return frozenset(self.points)
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
     def weight_at(self, point) -> float:
         try:
@@ -99,32 +98,6 @@ def rn_lambda(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> LinOp:
 
 
 # -- the Cantor witness family ---------------------------------------------
-
-
-def ternary_cells(n: int) -> list[str]:
-    """All ternary cells of resolution n as digit strings (root is "")."""
-    if n == 0:
-        return [""]
-    return ["".join(d) for d in itertools.product("012", repeat=n)]
-
-
-def cantor_cells(n: int) -> list[str]:
-    """The 2^n resolution-n cells meeting the Cantor set (digits 0 and 2)."""
-    if n == 0:
-        return [""]
-    return ["".join(d) for d in itertools.product("02", repeat=n)]
-
-
-def uniform_measure(n: int) -> DiscreteMeasure:
-    """lambda_n: uniform weight 3^-n on all 3^n resolution-n cells."""
-    cells = ternary_cells(n)
-    return DiscreteMeasure(points=tuple(cells), weights=np.full(len(cells), 3.0 ** (-n)))
-
-
-def cantor_measure(n: int) -> DiscreteMeasure:
-    """mu_n: uniform weight 2^-n on the 2^n Cantor cells of resolution n."""
-    cells = cantor_cells(n)
-    return DiscreteMeasure(points=tuple(cells), weights=np.full(len(cells), 2.0 ** (-n)))
 
 
 @dataclass(frozen=True)

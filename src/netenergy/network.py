@@ -77,7 +77,7 @@ class Network:
             try:
                 u, v, c = item
                 conds.append(float(c))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise NetworkError(f"malformed edge {item!r}") from exc
             ends += (u, v)
         try:
@@ -222,29 +222,21 @@ class Network:
     # -- vertex functions --------------------------------------------------
 
     def as_array(self, u) -> np.ndarray:
-        """Coerce a vertex function to a dense array in table order.
+        """A vertex function as a float array in table order.
 
-        Accepts an array of length ``n`` or a mapping from every vertex
-        label to a value; a missing vertex is an error.
+        In memory a vertex function is an array of ``n`` real numbers, one
+        per vertex in the order of ``labels``; anything else (a mapping,
+        strings, ``None``, the wrong length) is a ``NetworkError``.  Files
+        key the values by :func:`label_key` strings instead (see
+        :func:`function_from_json`).
         """
-        if isinstance(u, Mapping):
-            vals = np.empty(self.n, dtype=float)
-            for i, lbl in enumerate(self._labels):
-                if lbl not in u:
-                    raise NetworkError(f"function missing a value at vertex {lbl!r}")
-                vals[i] = float(u[lbl])
-            return vals
-        arr = np.asarray(u, dtype=float)
+        arr = np.asarray(u)
+        if arr.dtype.kind not in "iuf":
+            got = type(u).__name__ if arr.ndim == 0 else f"{arr.dtype} entries"
+            raise NetworkError(f"function values must be real numbers, got {got}")
         if arr.shape != (self.n,):
-            raise NetworkError(
-                f"function has shape {arr.shape}, expected ({self.n},)"
-            )
-        return arr
-
-    def as_dict(self, u) -> dict:
-        """Vertex function as a ``{label: value}`` mapping."""
-        arr = self.as_array(u)
-        return {lbl: float(arr[i]) for i, lbl in enumerate(self._labels)}
+            raise NetworkError(f"function has shape {arr.shape}, expected ({self.n},)")
+        return arr.astype(float, copy=False)
 
     def delta(self, x) -> np.ndarray:
         """Indicator function of the vertex ``x``."""
@@ -357,11 +349,14 @@ def network_from_json(doc: Mapping) -> Network:
         vertices = [_label_from_json(v) for v in doc["vertices"]]
         origin = _label_from_json(doc["origin"])
         edges = [
-            (_label_from_json(e["u"]), _label_from_json(e["v"]), float(e["c"]))
+            (_label_from_json(e["u"]), _label_from_json(e["v"]), e["c"])
             for e in doc["edges"]
         ]
     except (KeyError, TypeError) as exc:
         raise NetworkError(f"malformed graph document: {exc}") from exc
+    for u, v, c in edges:
+        if isinstance(c, bool) or not isinstance(c, numbers.Real):
+            raise NetworkError(f"edge {(u, v)} has conductance {c!r}, which is not a number")
     ground = _label_from_json(doc["ground"]) if "ground" in doc else None
     return Network(edges, origin, vertices=vertices, ground=ground)
 

@@ -89,13 +89,13 @@ class InnerSpace(GramMatrix):
     def norm(self, u) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
-    def compatible(self, other: "InnerSpace", tol: float = 1e-10) -> bool:
+    def compatible(self, other: "InnerSpace") -> bool:
         if self is other:
             return True
         if self.dim != other.dim or self.labels != other.labels:
             return False
         scale = 1.0 + float(np.abs(self.matrix).max(initial=0.0))
-        return bool(np.max(np.abs(self.matrix - other.matrix)) <= tol * scale)
+        return bool(np.max(np.abs(self.matrix - other.matrix)) <= 1e-10 * scale)
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,8 @@ class LinOp:
                 f"operator matrix has shape {m.shape}, expected "
                 f"({self.codomain.dim}, {self.domain.dim})"
             )
+        if not np.isfinite(m).all():
+            raise OperatorError("operator has a non-finite entry")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -155,51 +157,43 @@ def adjoint(a: LinOp) -> LinOp:
 
 @dataclass(frozen=True)
 class SymmetricPairReport:
-    """Outcome of a symmetric-pair verification."""
+    """Outcome of a symmetric-pair verification: the largest pairing
+    mismatch and the tolerance it was held to."""
 
     residual: float
     tol: float
-    is_pair: bool
-    containment_defect: float
 
-    def __post_init__(self):
-        if self.is_pair != (self.residual <= self.tol):
-            raise ValueError("is_pair must equal (residual <= tol)")
+    @property
+    def is_pair(self) -> bool:
+        return self.residual <= self.tol
 
 
 def verify_pair(a: LinOp, b: LinOp, tol: float = 1e-10) -> SymmetricPairReport:
     """Check <A e_i, f_j>_2 = <e_i, B f_j>_1 over the basis pairs.
 
     A must map H1 -> H2 and B map H2 -> H1 on the same two spaces.  The
-    report's residual is the largest pairing mismatch; the containment
-    defect additionally measures A against B* and B against A* through the
-    adjoint formula (the two characterizations agree up to conditioning).
+    report's residual is the largest entry of M_A' G2 - G1 M_B, the
+    pairing identity on every pair of basis vectors.  That residual is the
+    containment test of A in B*: multiplied through by G1^{-1} the same
+    matrix is the matrix of A* - B, so no adjoint needs to be formed.
     """
     if not a.domain.compatible(b.codomain) or not a.codomain.compatible(b.domain):
         raise OperatorError("pair spaces do not match: need A: H1 -> H2, B: H2 -> H1")
     lhs = a.matrix.T @ a.codomain.matrix
     rhs = a.domain.matrix @ b.matrix
-    residual = float(np.max(np.abs(lhs - rhs), initial=0.0))
-    defect = max(
-        float(np.max(np.abs(a.matrix - adjoint(b).matrix), initial=0.0)),
-        float(np.max(np.abs(b.matrix - adjoint(a).matrix), initial=0.0)),
-    )
     return SymmetricPairReport(
-        residual=residual,
-        tol=tol,
-        is_pair=residual <= tol,
-        containment_defect=defect,
+        residual=float(np.max(np.abs(lhs - rhs), initial=0.0)), tol=tol
     )
 
 
-def _bounded_below(space: InnerSpace, form: np.ndarray, c=1.0, tol=1e-10, vectors=False):
+def _bounded_below(space: InnerSpace, form: np.ndarray, c=1.0, vectors=False):
     """Generalized eigenvalues of (form, G), ascending (and, with
     ``vectors``, the eigenvectors V with V' G V = I, as ``sla.eigh`` returns
-    them); raises CoercivityError unless the smallest is at least c - tol,
-    so that the form shifted by (1 - c) G is at least 1 - tol."""
+    them); raises CoercivityError unless the smallest is at least c - 1e-10,
+    so that the form shifted by (1 - c) G is at least 1 - 1e-10."""
     res = sla.eigh(form, space.matrix, eigvals_only=not vectors)
     low = float((res[0] if vectors else res)[0])
-    if low < c - tol:
+    if low < c - 1e-10:
         raise CoercivityError(
             f"form is not bounded below by {c!r}: smallest form eigenvalue {low:.12g}"
         )
@@ -268,12 +262,12 @@ def _extension_from_form(space: InnerSpace, form: np.ndarray, lam: np.ndarray):
     return jj_star, sla.lu_solve(lu_piv, np.eye(space.dim))
 
 
-def friedrichs(space: InnerSpace, a: LinOp, c: float = 1.0, tol: float = 1e-10) -> LinOp:
+def friedrichs(space: InnerSpace, a: LinOp, c: float = 1.0) -> LinOp:
     """Friedrichs extension of a symmetric semibounded operator.
 
     Requires <phi, A phi> >= c <phi, phi> (c = 1: A is coercive), checked
     once through the smallest generalized eigenvalue of the form G A, with
-    slack tol.  The form is shifted by s = 1 - c times the space Gram,
+    slack 1e-10.  The form is shifted by s = 1 - c times the space Gram,
     which makes it coercive, extended through the inclusion route, and the
     extension shifted back by s; any valid lower bound gives the same
     answer.  On a finite-dimensional domain the extension agrees
@@ -286,8 +280,8 @@ def friedrichs(space: InnerSpace, a: LinOp, c: float = 1.0, tol: float = 1e-10) 
         raise OperatorError("operator must act on the given space")
     if not np.isfinite(c):
         raise OperatorError(f"lower bound must be a finite number, got {c!r}")
-    form = _symmetric(space.matrix @ a.matrix, tol, OperatorError, "operator")
-    lam = _bounded_below(space, form, c, tol)
+    form = _symmetric(space.matrix @ a.matrix, 1e-10, OperatorError, "operator")
+    lam = _bounded_below(space, form, c)
     shift = 1.0 - c
     eye = np.eye(space.dim)
     jj_star, ext = _extension_from_form(space, form + shift * space.matrix, lam + shift)
@@ -335,7 +329,7 @@ def form_operator_roundtrip(space: InnerSpace, value, direction: str):
 # -- canonical operator of a second inner product --------------------------
 
 
-def krein_lambda(h1: InnerSpace, h2_gram, tol: float = 1e-10) -> LinOp:
+def krein_lambda(h1: InnerSpace, h2_gram) -> LinOp:
     """Self-adjoint Lambda on H1 with <u, Lambda v>_1 = <u, v>_2.
 
     ``h2_gram`` is the (positive semidefinite) Gram of the second inner
@@ -348,9 +342,9 @@ def krein_lambda(h1: InnerSpace, h2_gram, tol: float = 1e-10) -> LinOp:
             f"second Gram has shape {g2.shape}, expected ({h1.dim}, {h1.dim})"
         )
     scale = 1.0 + float(np.abs(g2).max(initial=0.0))
-    g2 = _symmetric(g2, tol, OperatorError, "second Gram")
+    g2 = _symmetric(g2, 1e-10, OperatorError, "second Gram")
     eig_min = float(np.linalg.eigvalsh(g2)[0])
-    if eig_min < -tol * scale:
+    if eig_min < -1e-10 * scale:
         raise OperatorError(
             f"second Gram is not positive semidefinite: eigenvalue {eig_min:.3e}"
         )
@@ -407,7 +401,7 @@ class SpectralMeasure:
         return [{"eigenvalue": l, "weight": w} for l, w in self.atoms]
 
 
-def spectral_measure(lam_op: LinOp, phi, tol: float = 1e-8) -> SpectralMeasure:
+def spectral_measure(lam_op: LinOp, phi) -> SpectralMeasure:
     """Spectral measure of ``phi`` for a nonnegative self-adjoint operator.
 
     Diagonalizes in a G-orthonormal eigenbasis and records one atom
@@ -421,10 +415,10 @@ def spectral_measure(lam_op: LinOp, phi, tol: float = 1e-8) -> SpectralMeasure:
     if not np.isfinite(phi).all():
         raise OperatorError("phi has a non-finite entry")
     space = lam_op.domain
-    form = _symmetric(space.matrix @ lam_op.matrix, tol, OperatorError, "operator")
+    form = _symmetric(space.matrix @ lam_op.matrix, 1e-8, OperatorError, "operator")
     lam, vec = sla.eigh(form, space.matrix)
     scale = 1.0 + float(np.abs(lam).max(initial=0.0))
-    if float(lam[0]) < -tol * scale:
+    if float(lam[0]) < -1e-8 * scale:
         raise OperatorError(
             f"operator is not nonnegative: eigenvalue {float(lam[0]):.3e}"
         )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,9 @@ MONOPOLE_TOL = 1e-6
 
 #: Default number of exhaustion levels.
 K_MAX = 30
+
+#: A probe says "recurrent" once R_k exceeds this multiple of R_1.
+RECURRENCE_RATIO = 1e3
 
 
 class SolverError(RuntimeError):
@@ -105,24 +107,17 @@ def solve_grounded(net: Network, rhs) -> np.ndarray:
 
     The pinned vertex is the ground when the network has one, else the
     origin; in the latter case ``rhs`` must sum to zero or the full system
-    is inconsistent.  ``rhs`` may be a vertex function or a 2-d array whose
-    columns are independent right-hand sides.
+    is inconsistent.  ``rhs`` is a vertex function (an array of ``n``
+    numbers in table order) or an ``(n, m)`` array whose columns are
+    independent right-hand sides; anything else is a ``NetworkError``.
     """
-    if isinstance(rhs, Mapping):
-        cols = net.as_array(rhs)[:, None]
-        squeeze = True
-    else:
-        arr = np.asarray(rhs, dtype=float)
-        if arr.ndim == 1:
-            cols = net.as_array(arr)[:, None]
-            squeeze = True
-        elif arr.ndim == 2 and arr.shape[0] == net.n:
-            cols = arr
-            squeeze = False
-        else:
-            raise NetworkError(
-                f"rhs has shape {arr.shape}, expected ({net.n},) or ({net.n}, m)"
-            )
+    arr = np.asarray(rhs)
+    if arr.dtype.kind not in "iuf" or arr.ndim not in (1, 2) or arr.shape[0] != net.n:
+        raise NetworkError(
+            f"rhs must be numbers of shape ({net.n},) or ({net.n}, m), "
+            f"got {arr.dtype} of shape {arr.shape}"
+        )
+    cols = arr.reshape(net.n, -1).astype(float, copy=False)
 
     if net.ground_index is None:
         sums = cols.sum(axis=0)
@@ -135,7 +130,7 @@ def solve_grounded(net: Network, rhs) -> np.ndarray:
     keep, solve = _reduced_solver(net)
     out = np.zeros_like(cols)
     out[keep, :] = solve(cols[keep, :]).reshape(keep.size, -1)
-    return out[:, 0] if squeeze else out
+    return out[:, 0] if arr.ndim == 1 else out
 
 
 def solve_dipole(net: Network, x) -> EnergyVector:
@@ -302,7 +297,6 @@ def transience_probe(
     source,
     tol: float = MONOPOLE_TOL,
     k_max: int = K_MAX,
-    recurrence_ratio: float = 1e3,
     stride: int = 1,
 ) -> tuple[str, ConvergenceReport]:
     """Classify a generated network by its wired resistance to the ground.
@@ -312,13 +306,13 @@ def transience_probe(
 
     - "transient" when successive R_k are Cauchy within ``tol``
       (bounded resistance to infinity, monopoles exist),
-    - "recurrent" when R_k exceeds ``recurrence_ratio`` times R at the
+    - "recurrent" when R_k exceeds ``RECURRENCE_RATIO`` times R at the
       first level with non-shrinking increments,
     - "inconclusive" otherwise (raise ``k_max`` or loosen ``tol``).
     """
     if not isinstance(source, GraphGenerator):
         raise NetworkError(f"expected a generator, got {type(source).__name__}")
-    verdict, report, _, _ = _exhaust(source, source.origin, tol, k_max, stride, recurrence_ratio)
+    verdict, report, _, _ = _exhaust(source, source.origin, tol, k_max, stride, RECURRENCE_RATIO)
     return verdict, report
 
 

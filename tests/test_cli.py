@@ -508,6 +508,15 @@ def test_unhashable_graph_labels_are_runtime_errors(label, shown, tmp_path, caps
     assert f"error: vertex label {shown} is not hashable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c", ["1.5", "abc", True], ids=["numeric-string", "string", "bool"])
+def test_graph_file_conductance_must_be_a_number(c, tmp_path, capsys):
+    doc = {"vertices": ["o", "a"], "origin": "o", "edges": [{"u": "o", "v": "a", "c": c}]}
+    graph = _write_json(tmp_path, "g.json", doc)
+    assert main(["resistance", "--graph", str(graph), "--source", "o", "--target", "a"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: edge ('o', 'a') has conductance {c!r}, which is not a number" in err
+
+
 def test_non_object_function_file_is_runtime_error(p3_file, tmp_path, capsys):
     fn = _write_json(tmp_path, "f.json", [1, 2, 3])
     rc = main(["royden", "--graph", str(p3_file), "--function", str(fn)])

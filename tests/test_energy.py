@@ -36,10 +36,6 @@ def test_constants_are_the_kernel(p3):
     assert energy_form(p3, u, np.full(3, -2.0)) == 0.0
 
 
-def test_energy_accepts_dicts(p3):
-    assert energy_form(p3, {"o": 0.0, "a": 1.0, "b": 3.0}) == pytest.approx(9.0)
-
-
 @given(
     u=arrays(np.float64, 3, elements=FINITE),
     v=arrays(np.float64, 3, elements=FINITE),
@@ -80,7 +76,6 @@ def test_to_energy_vector_regauges(p3):
     assert v.energy == pytest.approx(1.0)
     assert v.norm() == pytest.approx(1.0)
     assert v("b") == 1.0
-    assert v.as_dict() == {"o": 0.0, "a": 1.0, "b": 1.0}
 
 
 def test_energy_vector_validation(p3):

@@ -7,18 +7,15 @@ from netenergy import (
     DiscreteMeasure,
     InnerSpace,
     OperatorError,
-    cantor_measure,
     cantor_witness,
     dstar_constant,
     rn_lambda,
-    uniform_measure,
 )
-from netenergy.measures import cantor_cells, ternary_cells
 
 
 def test_discrete_measure_basics():
     mu = DiscreteMeasure(points=(1, 2), weights=np.array([0.5, 0.5]))
-    assert mu.total_mass() == 1.0
+    assert mu.weights.sum() == 1.0
     assert mu.weight_at(1) == 0.5
     assert mu.weight_at(7) == 0.0
     assert mu.support == frozenset({1, 2})
@@ -61,21 +58,6 @@ def test_rn_lambda_rejects_non_absolutely_continuous():
         rn_lambda(mu1, mu2)
 
 
-def test_cell_families():
-    assert ternary_cells(0) == [""]
-    assert ternary_cells(1) == ["0", "1", "2"]
-    assert len(ternary_cells(3)) == 27
-    assert cantor_cells(1) == ["0", "2"]
-    assert len(cantor_cells(5)) == 32
-    assert all(set(c) <= {"0", "2"} for c in cantor_cells(4))
-
-
-def test_cell_measures_are_probabilities():
-    for n in (0, 1, 4):
-        assert uniform_measure(n).total_mass() == pytest.approx(1.0)
-        assert cantor_measure(n).total_mass() == pytest.approx(1.0)
-
-
 def test_cantor_witness_closed_form():
     c1, _ = cantor_witness(1)
     assert c1 == pytest.approx(math.sqrt(1.5), abs=1e-12)
@@ -103,7 +85,7 @@ def test_witness_agrees_with_generic_representer_solve():
     # rebuild C_n from the public pieces: pairings of the flat element
     # against the Cantor cells inside L2 of the uniform weights
     for n in range(0, 7):
-        cells = cantor_cells(n)
+        cells = range(2 ** n)
         g1 = InnerSpace.from_matrix(
             np.diag(np.full(len(cells), 3.0 ** (-n))), labels=tuple(cells)
         )

@@ -8,6 +8,7 @@ from netenergy import (
     GROUND,
     Network,
     NetworkError,
+    energy_form,
     function_from_json,
     function_to_json,
     is_harmonic,
@@ -18,6 +19,7 @@ from netenergy import (
     network_to_json,
     save_function,
     save_network,
+    solve_grounded,
 )
 
 
@@ -63,10 +65,24 @@ def test_delta_conductance_neighbors(p3):
     assert sorted(zip((p3.labels[j] for j in row.indices), row.data)) == [("b", 2.0), ("o", 1.0)]
 
 
-def test_as_array_and_dict(p3):
-    u = p3.as_array({"o": 0.0, "a": 1.0, "b": 3.0})
-    np.testing.assert_array_equal(u, [0.0, 1.0, 3.0])
-    assert p3.as_dict(u) == {"o": 0.0, "a": 1.0, "b": 3.0}
+def test_vertex_functions_are_arrays_of_numbers(p3):
+    np.testing.assert_array_equal(p3.as_array([0, 1, 3]), [0.0, 1.0, 3.0])
+    u = np.array([0.0, 1.0, 3.0])
+    assert p3.as_array(u) is u  # a float array in table order is used as is
+    bad = [
+        ({"o": 0.0, "a": 1.0, "b": 3.0}, "must be real numbers, got dict"),
+        (["0", "1", "3"], "must be real numbers, got <U1 entries"),
+        (None, "must be real numbers, got NoneType"),
+        ([0.0, None, 3.0], "must be real numbers, got object entries"),
+        (np.zeros(2), re.escape("has shape (2,), expected (3,)")),
+    ]
+    for value, msg in bad:
+        with pytest.raises(NetworkError, match=msg):
+            p3.as_array(value)
+        with pytest.raises(NetworkError, match=msg):
+            energy_form(p3, value)
+        with pytest.raises(NetworkError, match=re.escape("rhs must be numbers of shape (3,) or (3, m)")):
+            solve_grounded(p3, value)
 
 
 @pytest.mark.parametrize(
@@ -207,6 +223,23 @@ def test_network_json_roundtrip(tmp_path):
     doc = json.loads(path.read_text())
     assert network_from_json(doc).labels == net.labels
     assert network_to_json(net)["origin"] == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "c, msg",
+    [
+        *[(c, f"edge ('o', 'a') has conductance {c!r}, which is not a number")
+          for c in ("1.5", "abc", True, None, [1.0])],
+        (10**400, "malformed edge ('o', 'a', 1000"),  # a JSON integer beyond the float range
+    ],
+    ids=["numeric-string", "string", "bool", "null", "array", "int-beyond-float"],
+)
+def test_graph_file_conductances_must_be_numbers(c, msg):
+    doc = {"vertices": ["o", "a"], "origin": "o", "edges": [{"u": "o", "v": "a", "c": c}]}
+    with pytest.raises(NetworkError, match=re.escape(msg)):
+        network_from_json(doc)
+    doc["edges"][0]["c"] = 2  # a JSON integer is a number
+    assert network_from_json(doc).edge_arrays[2].tolist() == [2.0]
 
 
 def test_function_json_roundtrip(tmp_path, p3, rng):
