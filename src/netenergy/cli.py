@@ -117,11 +117,12 @@ def _make_generator(name: str, params: dict):
         raise NetworkError(f"bad parameters for generator {name!r}: {exc}") from None
 
 
-def _load_matrix(path, space_labels=None):
+def _load_matrix(path, space=None):
     """Matrix file: JSON ``[[...]]`` or ``{"labels": [...], "matrix": [[...]]}``.
 
-    A file read against ``space_labels`` (those of the ``--gram`` space) that
-    carries labels must list exactly those labels, in the same order.
+    Read alone, a ``--gram`` file gives its :class:`InnerSpace`.  Read
+    against ``space`` a file gives its matrix, and its labels, if it has
+    any, must be the space's labels in the same order.
     """
     doc = read_json(path, "matrix", OperatorError)
     if isinstance(doc, dict) and "matrix" in doc:
@@ -142,11 +143,13 @@ def _load_matrix(path, space_labels=None):
         raise OperatorError(f"{path}: matrix must be two-dimensional, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         raise OperatorError(f"{path}: matrix has a non-finite entry")
-    if space_labels is not None and labels is not None and list(labels) != list(space_labels):
+    if space is None:
+        return InnerSpace.from_matrix(matrix, labels=labels)
+    if labels is not None and labels != list(space.labels):
         raise OperatorError(
-            f"{path}: labels {labels} do not match the --gram labels {list(space_labels)}"
+            f"{path}: labels {labels} do not match the --gram labels {list(space.labels)}"
         )
-    return labels, matrix
+    return matrix
 
 
 def _load_measure(path) -> measures.DiscreteMeasure:
@@ -297,10 +300,8 @@ def cmd_transience(args) -> int:
 
 
 def cmd_friedrichs(args) -> int:
-    labels, g = _load_matrix(args.gram)
-    space = InnerSpace.from_matrix(g, labels=labels)
-    _, a_mat = _load_matrix(args.operator, space.labels)
-    a = LinOp(domain=space, codomain=space, matrix=a_mat)
+    space = _load_matrix(args.gram)
+    a = LinOp(domain=space, codomain=space, matrix=_load_matrix(args.operator, space))
     ext = friedrichs(space, a, c=args.bound)
     defect = float(np.max(np.abs(ext.matrix - a.matrix)))
     print(f"extension of a {space.dim}x{space.dim} operator: max |ext - A| = {defect:.3e}")
@@ -308,14 +309,18 @@ def cmd_friedrichs(args) -> int:
     return 0
 
 
+def _krein_inputs(args) -> tuple:
+    """(H1, G2, Lambda) from the ``--gram`` and ``--gram2`` files."""
+    h1 = _load_matrix(args.gram)
+    g2 = _load_matrix(args.gram2, h1)
+    return h1, g2, krein_lambda(h1, g2)
+
+
 def cmd_krein(args) -> int:
-    labels, g1 = _load_matrix(args.gram)
-    h1 = InnerSpace.from_matrix(g1, labels=labels)
-    _, g2 = _load_matrix(args.gram2, h1.labels)
-    lam = krein_lambda(h1, g2)
+    h1, g2, lam = _krein_inputs(args)
     rng = np.random.default_rng(args.seed)
     phi = rng.standard_normal(h1.dim)
-    lhs = float(phi @ g1 @ lam.apply(phi))
+    lhs = h1.inner(phi, lam.apply(phi))
     rhs = float(phi @ g2 @ phi)
     print(
         f"canonical operator on dim {h1.dim}: "
@@ -326,19 +331,8 @@ def cmd_krein(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    labels, g1 = _load_matrix(args.gram)
-    h1 = InnerSpace.from_matrix(g1, labels=labels)
-    _, g2 = _load_matrix(args.gram2, h1.labels)
-    lam = krein_lambda(h1, g2)
-    if args.phi is None:
-        phi = np.zeros(h1.dim)
-        phi[0] = 1.0
-    else:
-        phi = args.phi
-        if phi.shape != (h1.dim,):
-            raise OperatorError(
-                f"phi has {phi.shape[0]} entries, expected {h1.dim}"
-            )
+    h1, g2, lam = _krein_inputs(args)
+    phi = np.eye(h1.dim)[0] if args.phi is None else args.phi
     mu = spectral_measure(lam, phi)
     print(
         f"spectral measure with {len(mu.atoms)} atoms: "

@@ -113,8 +113,7 @@ def truncate(generator: GraphGenerator, k: int) -> Network:
     edge leaves ``G_k`` (the generator is exhausted) the plain induced
     network is returned with no ground vertex.
     """
-    if k < 1:
-        raise NetworkError(f"truncation level must be >= 1, got {k}")
+    _check_count("truncation level", k, 1)
     return _level_network(generator, k, wired=True)
 
 
@@ -125,6 +124,12 @@ def _check_positive(name: str, value) -> None:
     """Raise unless ``value`` is a real number in (0, largest float]."""
     if not (isinstance(value, numbers.Real) and 0 < value <= np.finfo(float).max):
         raise NetworkError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise unless ``value`` is an integer (numpy's included) >= ``least``."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise NetworkError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +222,7 @@ class IntegerLatticeGen(GraphGenerator):
     conductance: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
-            raise NetworkError(f"lattice dimension must be an integer >= 1, got {self.d!r}")
+        _check_count("lattice dimension", self.d, 1)
         _check_positive("conductance", self.conductance)
 
     @property
@@ -242,40 +246,33 @@ class IntegerLatticeGen(GraphGenerator):
 
 def path(n: int, conductance: float = 1.0) -> Network:
     """Path on vertices 0..n-1 with constant conductance, origin 0."""
-    if n < 1:
-        raise NetworkError(f"path needs n >= 1 vertices, got {n}")
-    if n == 1:
-        raise NetworkError("path with a single vertex has no edges")
+    _check_count("path vertex count", n, 2)
     edges = [(i, i + 1, conductance) for i in range(n - 1)]
     return Network(edges, origin=0)
 
 
 def cycle(n: int, conductance: float = 1.0) -> Network:
     """Cycle on vertices 0..n-1 with constant conductance, origin 0."""
-    if n < 3:
-        raise NetworkError(f"cycle needs n >= 3 vertices, got {n}")
+    _check_count("cycle vertex count", n, 3)
     edges = [(i, (i + 1) % n, conductance) for i in range(n)]
     return Network(edges, origin=0)
 
 
 def binary_tree(depth: int, conductance: float = 1.0) -> Network:
     """Finite rooted binary tree of the given depth, origin at the root."""
-    if depth < 1:
-        raise NetworkError(f"binary tree needs depth >= 1, got {depth}")
+    _check_count("binary tree depth", depth, 1)
     return _level_network(BinaryTreeGen(conductance=conductance), depth, wired=False)
 
 
 def lattice(d: int, radius: int, conductance: float = 1.0) -> Network:
     """Graph ball of the given radius in the d-dimensional integer lattice."""
-    if radius < 1:
-        raise NetworkError(f"lattice ball needs radius >= 1, got {radius}")
+    _check_count("lattice ball radius", radius, 1)
     return _level_network(IntegerLatticeGen(d=d, conductance=conductance), radius, wired=False)
 
 
 def geometric_line(ratio: float, n: int) -> Network:
     """First n vertices of the half line with c_{k,k+1} = ratio**k."""
-    if n < 2:
-        raise NetworkError(f"geometric line needs n >= 2 vertices, got {n}")
+    _check_count("geometric line vertex count", n, 2)
     return _level_network(GeometricLineGen(ratio=ratio), n, wired=False)
 
 
@@ -290,8 +287,7 @@ def random_network(
     Conductances are drawn uniformly from (0, c_max].  Used by the
     randomized identity checks; deterministic for a fixed seed.
     """
-    if n < 2:
-        raise NetworkError(f"random network needs n >= 2 vertices, got {n}")
+    _check_count("random network vertex count", n, 2)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     def draw_c() -> float:

@@ -13,9 +13,11 @@ which is all that is needed to verify symmetric pairs (<A phi, psi>_2 =
 inclusion route, compare the nonzero spectra of A*A and B*B, and realize
 the canonical self-adjoint operator Lambda = G1^{-1} G2 of a second inner
 product on the same vectors.  Each space factors its Gram once, when it is
-built.  Every symmetry check, of a Gram or of the form G M of an operator,
-is the one rule of ``energy._symmetric``: finite entries, asymmetry within
-a tolerance relative to the scale, and the symmetric part as the result.
+built, and two spaces match only when they are equal: the same labels and
+the same Gram, bit for bit.  Every symmetry check, of a Gram, of the form
+G M of an operator or of the square M' G M, is the one rule of
+``energy._symmetric``: finite entries, asymmetry within a tolerance
+relative to the scale, and the symmetric part as the result.
 
 The Friedrichs construction deliberately walks the general route (the form
 space H_A, the inclusion J, its adjoint, and the inverse of JJ* obtained by
@@ -29,13 +31,15 @@ case is c = 1, no shift.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .energy import GramMatrix, _symmetric, energy_pairings, gram
+from .energy import GramMatrix, _check_tol, _symmetric, energy_pairings, gram
 from .network import Network, NetworkError, label_key
 from .solvers import solve_dipoles
 
@@ -49,10 +53,6 @@ class OperatorError(ValueError):
 
 class CoercivityError(OperatorError):
     """A quadratic form fell below the required lower bound."""
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,10 @@ class InnerSpace(GramMatrix):
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
     def compatible(self, other: "InnerSpace") -> bool:
-        if self is other:
-            return True
-        if self.dim != other.dim or self.labels != other.labels:
-            return False
-        scale = 1.0 + float(np.abs(self.matrix).max(initial=0.0))
-        return bool(np.max(np.abs(self.matrix - other.matrix)) <= 1e-10 * scale)
+        """The same space: equal labels and an equal Gram, bit for bit."""
+        return self is other or (
+            self.labels == other.labels and np.array_equal(self.matrix, other.matrix)
+        )
 
 
 @dataclass(frozen=True)
@@ -133,9 +131,6 @@ class LinOp:
             codomain=self.codomain,
             matrix=self.matrix @ other.matrix,
         )
-
-    def is_endomorphism(self) -> bool:
-        return self.domain.compatible(self.codomain)
 
     def to_json(self) -> dict:
         return {
@@ -177,6 +172,7 @@ def verify_pair(a: LinOp, b: LinOp, tol: float = 1e-10) -> SymmetricPairReport:
     containment test of A in B*: multiplied through by G1^{-1} the same
     matrix is the matrix of A* - B, so no adjoint needs to be formed.
     """
+    _check_tol(tol, OperatorError)
     if not a.domain.compatible(b.codomain) or not a.codomain.compatible(b.domain):
         raise OperatorError("pair spaces do not match: need A: H1 -> H2, B: H2 -> H1")
     lhs = a.matrix.T @ a.codomain.matrix
@@ -184,6 +180,21 @@ def verify_pair(a: LinOp, b: LinOp, tol: float = 1e-10) -> SymmetricPairReport:
     return SymmetricPairReport(
         residual=float(np.max(np.abs(lhs - rhs), initial=0.0)), tol=tol
     )
+
+
+def _form(space: InnerSpace, a: LinOp, tol: float = 1e-10) -> np.ndarray:
+    """The symmetric form G M of an operator A that acts on ``space``."""
+    if not (a.domain.compatible(space) and a.codomain.compatible(space)):
+        raise OperatorError("operator must act on the given space")
+    return _symmetric(space.matrix @ a.matrix, tol, OperatorError, "operator")
+
+
+def _gram_argument(space: InnerSpace, value, name: str) -> np.ndarray:
+    """A second Gram (GramMatrix or array) on the basis of ``space``, symmetrised."""
+    g = value.matrix if isinstance(value, GramMatrix) else np.asarray(value, dtype=float)
+    if g.shape != (space.dim, space.dim):
+        raise OperatorError(f"{name} has shape {g.shape}, expected ({space.dim}, {space.dim})")
+    return _symmetric(g, 1e-10, OperatorError, name)
 
 
 def _bounded_below(space: InnerSpace, form: np.ndarray, c=1.0, vectors=False):
@@ -202,7 +213,7 @@ def _bounded_below(space: InnerSpace, form: np.ndarray, c=1.0, vectors=False):
 
 def _spectrum_of_square(a: LinOp) -> np.ndarray:
     """Spectrum of A*A, ascending: generalized eigenvalues of (M' G2 M, G1)."""
-    quad = _sym(a.matrix.T @ a.codomain.matrix @ a.matrix)
+    quad = _symmetric(a.matrix.T @ a.codomain.matrix @ a.matrix, 1e-10, OperatorError, "A*A form")
     return sla.eigh(quad, a.domain.matrix, eigvals_only=True)
 
 
@@ -213,6 +224,7 @@ def operator_norm(a: LinOp) -> float:
 
 def pair_spectrum_check(a: LinOp, b: LinOp, tol: float = 1e-8) -> bool:
     """Nonzero spectra of A*A and B*B agree as multisets within ``tol``."""
+    _check_tol(tol, OperatorError)
     la = _spectrum_of_square(a)[::-1]
     lb = _spectrum_of_square(b)[::-1]
     top = max(
@@ -276,11 +288,9 @@ def friedrichs(space: InnerSpace, a: LinOp, c: float = 1.0) -> LinOp:
     JJ* (A + s) phi = phi is an actual consistency check, asserted before
     returning.
     """
-    if not (a.domain.compatible(space) and a.codomain.compatible(space)):
-        raise OperatorError("operator must act on the given space")
-    if not np.isfinite(c):
+    if not (isinstance(c, numbers.Real) and math.isfinite(c)):
         raise OperatorError(f"lower bound must be a finite number, got {c!r}")
-    form = _symmetric(space.matrix @ a.matrix, 1e-10, OperatorError, "operator")
+    form = _form(space, a)
     lam = _bounded_below(space, form, c)
     shift = 1.0 - c
     eye = np.eye(space.dim)
@@ -305,21 +315,14 @@ def form_operator_roundtrip(space: InnerSpace, value, direction: str):
     independent routes.
     """
     if direction == "form_to_operator":
-        q = value.matrix if isinstance(value, GramMatrix) else np.asarray(value, dtype=float)
-        if q.shape != (space.dim, space.dim):
-            raise OperatorError(f"form Gram has shape {q.shape}, expected square of dim {space.dim}")
-        q = _symmetric(q, 1e-10, OperatorError, "form Gram")
+        q = _gram_argument(space, value, "form Gram")
         _, ext = _extension_from_form(space, q, _bounded_below(space, q))
         return LinOp(domain=space, codomain=space, matrix=ext)
     if direction == "operator_to_form":
-        a = value
-        if not (a.domain.compatible(space) and a.codomain.compatible(space)):
-            raise OperatorError("operator must act on the given space")
-        form = _symmetric(space.matrix @ a.matrix, 1e-10, OperatorError, "operator")
-        lam, vec = _bounded_below(space, form, vectors=True)
+        lam, vec = _bounded_below(space, _form(space, value), vectors=True)
         # A^{1/2} = V sqrt(lam) V^{-1} with V^{-1} = V' G
         root = vec @ (np.sqrt(np.clip(lam, 0.0, None))[:, None] * (vec.T @ space.matrix))
-        q = _sym(root.T @ space.matrix @ root)
+        q = _symmetric(root.T @ space.matrix @ root, 1e-10, OperatorError, "form Gram")
         return GramMatrix(labels=space.labels, matrix=q)
     raise OperatorError(
         f"unknown direction {direction!r}, expected 'form_to_operator' or 'operator_to_form'"
@@ -336,13 +339,8 @@ def krein_lambda(h1: InnerSpace, h2_gram) -> LinOp:
     product on the same basis; Lambda = G1^{-1} G2 and the defining
     identity holds by construction, asserted before returning.
     """
-    g2 = h2_gram.matrix if isinstance(h2_gram, GramMatrix) else np.asarray(h2_gram, dtype=float)
-    if g2.shape != (h1.dim, h1.dim):
-        raise OperatorError(
-            f"second Gram has shape {g2.shape}, expected ({h1.dim}, {h1.dim})"
-        )
+    g2 = _gram_argument(h1, h2_gram, "second Gram")
     scale = 1.0 + float(np.abs(g2).max(initial=0.0))
-    g2 = _symmetric(g2, 1e-10, OperatorError, "second Gram")
     eig_min = float(np.linalg.eigvalsh(g2)[0])
     if eig_min < -1e-10 * scale:
         raise OperatorError(
@@ -365,6 +363,8 @@ def dstar_constant(h1: InnerSpace, pairings) -> float:
     b = np.asarray(pairings, dtype=float)
     if b.shape != (h1.dim,):
         raise OperatorError(f"pairing vector has shape {b.shape}, expected ({h1.dim},)")
+    if not np.isfinite(b).all():
+        raise OperatorError("pairing vector has a non-finite entry")
     r = h1.solve_gram(b)
     return float(np.sqrt(max(float(b @ r), 0.0)))
 
@@ -409,13 +409,13 @@ def spectral_measure(lam_op: LinOp, phi) -> SpectralMeasure:
     self-adjoint or not nonnegative are refused with the offending
     residual.
     """
-    if not lam_op.is_endomorphism():
-        raise OperatorError("spectral measure needs an endomorphism")
+    space = lam_op.domain
     phi = np.asarray(phi, dtype=float)
+    if phi.shape != (space.dim,):
+        raise OperatorError(f"phi has shape {phi.shape}, expected ({space.dim},)")
     if not np.isfinite(phi).all():
         raise OperatorError("phi has a non-finite entry")
-    space = lam_op.domain
-    form = _symmetric(space.matrix @ lam_op.matrix, 1e-8, OperatorError, "operator")
+    form = _form(space, lam_op, 1e-8)
     lam, vec = sla.eigh(form, space.matrix)
     scale = 1.0 + float(np.abs(lam).max(initial=0.0))
     if float(lam[0]) < -1e-8 * scale:
@@ -431,6 +431,12 @@ def spectral_measure(lam_op: LinOp, phi) -> SpectralMeasure:
 # -- the network symmetric pair --------------------------------------------
 
 
+def _dirac_basis(net: Network) -> tuple[InnerSpace, list]:
+    """H1 (l2 on the non-ground vertices, in table order) and their Diracs."""
+    labels = [net.labels[i] for i in net.interior_indices()]
+    return InnerSpace.standard(len(labels), labels), [net.delta(x) for x in labels]
+
+
 def dirac_spaces(net: Network) -> tuple[InnerSpace, GramMatrix]:
     """l2 space of Dirac masses and their energy Gram on one basis.
 
@@ -439,9 +445,8 @@ def dirac_spaces(net: Network) -> tuple[InnerSpace, GramMatrix]:
     (identity Gram) and G2 holds the energy pairings of the same Diracs,
     which reproduce the graph-Laplacian entries.
     """
-    labels = [net.labels[i] for i in net.interior_indices()]
-    deltas = [net.delta(x) for x in labels]
-    return InnerSpace.standard(len(labels), labels), gram("energy", net, deltas, labels=labels)
+    h1, deltas = _dirac_basis(net)
+    return h1, gram("energy", net, deltas, labels=h1.labels)
 
 
 def network_kl(net: Network) -> tuple[LinOp, LinOp]:
@@ -453,20 +458,18 @@ def network_kl(net: Network) -> tuple[LinOp, LinOp]:
     batch.  The returned operators always satisfy verify_pair; that
     postcondition is asserted.
     """
-    labels = [net.labels[i] for i in net.interior_indices()]
-    o_pos = labels.index(net.origin)
-    kernel_set = labels[:o_pos] + labels[o_pos + 1:]
+    h1, deltas = _dirac_basis(net)
+    o_pos = h1.labels.index(net.origin)
+    kernel_set = h1.labels[:o_pos] + h1.labels[o_pos + 1:]
     if not kernel_set:
         raise NetworkError("kernel basis is empty; need a vertex besides the origin")
 
     kernel_reps = [v.values for v in solve_dipoles(net, kernel_set)]
-    h1 = InnerSpace.standard(len(labels), labels)
     g2 = gram("energy", net, kernel_reps, labels=kernel_set)
     h2 = InnerSpace(g2.labels, g2.matrix)
 
     # K's columns: kernel-basis coordinates of each Dirac class, from the
     # energy pairings <v_y, delta_x>_E
-    deltas = [net.delta(x) for x in labels]
     pair = energy_pairings(net, kernel_reps, deltas)
     k_matrix = h2.solve_gram(pair)
     k_op = LinOp(domain=h1, codomain=h2, matrix=k_matrix)
@@ -494,5 +497,5 @@ def krein_network_extension(k_op: LinOp, l_op: LinOp) -> tuple[LinOp, LinOp]:
     kk = adjoint(k_op) @ k_op
     ll = adjoint(l_op) @ l_op
     for op in (kk, ll):
-        _symmetric(op.domain.matrix @ op.matrix, 1e-10, OperatorError, "extension")
+        _form(op.domain, op)
     return kk, ll

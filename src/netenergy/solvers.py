@@ -32,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import EnergyVector, energy_form, to_energy_vector
-from .generators import GraphGenerator, truncate
+from .energy import EnergyVector, _check_tol, energy_form, to_energy_vector
+from .generators import GraphGenerator, _check_count, truncate
 from .network import Network, NetworkError
 
 #: Largest reduced system handed to the direct sparse factorization
@@ -231,16 +231,15 @@ def _aitken(seq) -> float:
 
 def _exhaust(generator, x, tol, k_max, stride=1, recurrence_ratio=math.inf):
     """The level loop of :func:`solve_monopole` and :func:`transience_probe`
-    (which document its rows and verdicts) on levels 1, 1 + stride, ...
-    <= ``k_max``.  Returns (verdict, report, last truncation, its potential)."""
+    (which document its rows and verdicts) at ``x`` (None: the origin) on
+    levels 1, 1 + stride, ... <= ``k_max``.  Returns (verdict, report, last
+    truncation, its potential)."""
     if not isinstance(generator, GraphGenerator):
         raise NetworkError(f"expected a generator, got {type(generator).__name__}")
-    if k_max < 1:
-        raise NetworkError(f"k_max must be >= 1, got {k_max}")
-    if stride < 1:
-        raise NetworkError(f"stride must be >= 1, got {stride}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise NetworkError(f"tol must be a finite number >= 0, got {tol!r}")
+    _check_count("k_max", k_max, 1)
+    _check_count("stride", stride, 1)
+    _check_tol(tol, NetworkError)
+    x = generator.origin if x is None else x
 
     rows = []
     verdict = "inconclusive"
@@ -310,9 +309,7 @@ def transience_probe(
       first level with non-shrinking increments,
     - "inconclusive" otherwise (raise ``k_max`` or loosen ``tol``).
     """
-    if not isinstance(source, GraphGenerator):
-        raise NetworkError(f"expected a generator, got {type(source).__name__}")
-    verdict, report, _, _ = _exhaust(source, source.origin, tol, k_max, stride, RECURRENCE_RATIO)
+    verdict, report, _, _ = _exhaust(source, None, tol, k_max, stride, RECURRENCE_RATIO)
     return verdict, report
 
 

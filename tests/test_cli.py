@@ -352,7 +352,7 @@ def test_usage_errors_exit_two(p3_file):
 def test_kmax_below_one_is_runtime_error(verb, capsys):
     rc = main([verb, "--generator", "binary_tree", "--kmax", "0"])
     assert rc == 1
-    assert "error: k_max must be >= 1" in capsys.readouterr().err
+    assert "error: k_max must be an integer >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -551,3 +551,28 @@ def test_generate_seed_comes_only_from_the_flag(tmp_path, capsys):
     assert main(base + ["--out", str(tmp_path / "default")]) == 0
     seven = (tmp_path / "seven" / "random.json").read_text()
     assert seven != (tmp_path / "default" / "random.json").read_text()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_kl_tol_must_be_finite_and_nonnegative(p3_file, tmp_path, capsys, tol):
+    out = tmp_path / "arts"
+    rc = main(["kl", "--graph", str(p3_file), "--tol", tol, "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: tol must be a finite number >= 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params, msg",
+    [
+        (["n=3.5"], "path vertex count must be an integer >= 2, got 3.5"),
+        (["n=1"], "path vertex count must be an integer >= 2, got 1"),
+    ],
+)
+def test_generate_counts_must_be_integers(params, msg, tmp_path, capsys):
+    argv = ["generate", "--generator", "path", "--out", str(tmp_path / "arts")]
+    rc = main(argv + [x for p in params for x in ("--param", p)])
+    assert rc == 1
+    assert f"error: {msg}" in capsys.readouterr().err

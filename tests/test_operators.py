@@ -59,7 +59,8 @@ def test_linop_must_fit_spaces(rng):
     h2 = InnerSpace.standard(2)
     op = LinOp(domain=h1, codomain=h2, matrix=np.ones((2, 3)))
     np.testing.assert_allclose(op.apply([1.0, 1.0, 1.0]), [3.0, 3.0])
-    assert not op.is_endomorphism()
+    with pytest.raises(OperatorError, match="operator must act on the given space"):
+        spectral_measure(op, [1.0, 0.0, 0.0])
     with pytest.raises(OperatorError):
         LinOp(domain=h1, codomain=h2, matrix=np.ones((3, 2)))
 

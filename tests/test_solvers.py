@@ -172,7 +172,7 @@ def test_monopole_vertex_must_be_inside():
     ids=["monopole", "probe"],
 )
 def test_exhaustion_rejects_bad_input(run):
-    with pytest.raises(NetworkError, match="k_max must be >= 1"):
+    with pytest.raises(NetworkError, match="k_max must be an integer >= 1"):
         run(GeometricLineGen(ratio=2.0), 0)
     with pytest.raises(NetworkError, match="expected a generator"):
         run(path(3), 5)
