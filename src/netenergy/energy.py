@@ -18,8 +18,6 @@ representatives exactly as given.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,12 +104,6 @@ def _symmetric(m: np.ndarray, tol: float, error: type[Exception], name: str) -> 
     if not asym <= tol * (1.0 + float(np.abs(m).max())):
         raise error(f"{name} is not symmetric: asymmetry residual {asym:.3e}")
     return 0.5 * (m + m.T)
-
-
-def _check_tol(tol, error: type[Exception]) -> None:
-    """Raise ``error`` unless ``tol`` is a finite real number >= 0."""
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
-        raise error(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 @dataclass(frozen=True)

@@ -6,34 +6,37 @@ plain :class:`~netenergy.network.Network` objects.
 
 Unbounded graphs are never materialized.  They are described by a
 :class:`GraphGenerator` rule: a nested family of finite level sets
-``G_1 subset G_2 subset ...`` covering the vertex set, plus a local
-neighbor rule.  :func:`truncate` realizes the wired truncation at level k:
-the induced graph on ``G_k`` with every edge leaving ``G_k`` rewired to a
-single grounded vertex, parallel conductances summed.  Solvers pin the
-ground to potential zero, which is the wired (shorted exterior) boundary
-condition.
+``G_1 subset G_2 subset ...`` covering the vertex set.  ``level(k)``
+returns G_k as arrays: its labels, each induced edge once as a pair of
+level positions with its conductance, and each vertex's summed
+conductance to the exterior.  Edges come ordered by their lower
+position.  :func:`truncate` realizes the wired truncation at level k:
+the induced graph on ``G_k`` plus one grounded vertex that takes each
+vertex's exterior conductance.  Solvers pin the ground to potential
+zero, which is the wired (shorted exterior) boundary condition.
 
 :func:`truncate` and the level builders :func:`binary_tree`,
-:func:`lattice` and :func:`geometric_line` are one pass: each edge of
-``G_k`` is kept as a pair of level positions and the arrays go to
-:meth:`~netenergy.network.Network.from_arrays`, with one ground column
-appended for a wired truncation whose exterior is not empty.
+:func:`lattice` and :func:`geometric_line` are one pass: the level's
+arrays go to :meth:`~netenergy.network.Network.from_arrays`, with one
+ground column appended for a wired truncation whose exterior is not
+empty.  An exterior that is not one finite number >= 0 per vertex is
+refused here; repeated edges, self loops, bad positions and bad
+conductances are refused by ``from_arrays``.
 """
 
 from __future__ import annotations
 
 import abc
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import GROUND, Network, NetworkError
+from .network import GROUND, Network, NetworkError, _check_nonnegative
 
 
 class GraphGenerator(abc.ABC):
-    """Rule describing a graph one neighborhood at a time."""
+    """Rule describing a graph by its nested level sets."""
 
     @property
     @abc.abstractmethod
@@ -41,68 +44,42 @@ class GraphGenerator(abc.ABC):
         """Label of the origin vertex; must lie in every level set."""
 
     @abc.abstractmethod
-    def level(self, k: int) -> list:
-        """Vertex labels of the level-k set G_k."""
-
-    @abc.abstractmethod
-    def neighbors(self, v) -> list[tuple[object, float]]:
-        """All ``(neighbor, conductance)`` pairs at ``v``.  The rule must be
-        symmetric: ``w`` lists ``v`` with the conductance ``v`` lists ``w``
-        with (to relative 1e-12), and no neighbor is listed twice;
-        :func:`truncate` raises :class:`~netenergy.network.NetworkError` if not."""
+    def level(self, k: int) -> tuple:
+        """The level-k set G_k as ``(labels, u, v, c, exterior)``: its vertex
+        labels; each edge induced on G_k once, joining level positions
+        ``u[i]`` and ``v[i]`` (integer arrays) with conductance ``c[i]``; and
+        ``exterior[j]``, the summed conductance from vertex j to vertices
+        outside G_k (0 for an interior vertex)."""
 
 
 def _level_network(generator: GraphGenerator, k: int, wired: bool) -> Network:
     """The network induced on G_k; when ``wired`` and some edge leaves G_k,
-    one ground vertex is appended that takes each vertex's summed
-    conductance to the exterior.  Each induced edge is kept as listed at its
-    end that comes first in G_k."""
-    level = list(generator.level(k))
-    n = len(level)
-    pos = dict(zip(level, range(n)))
-    if generator.origin not in pos:
-        raise NetworkError("origin is not contained in the level set")
-
-    exterior: dict = {}
-    lower, upper = [], []  # (i * n + j, c) for an edge i < j, as listed at i and at j
-    for i, x in enumerate(level):
-        for y, c in generator.neighbors(x):
-            j = pos.get(y)
-            if j is None:
-                exterior[i] = exterior.get(i, 0.0) + c
-            elif i < j:
-                lower.append((i * n + j, c))
-            elif j < i:
-                upper.append((j * n + i, c))
-            else:
-                raise NetworkError(f"generator produced a self loop at {x!r}")
-    lo, up = (np.array(s, dtype=float).reshape(-1, 2) for s in (lower, upper))
-    _check_listing(level, lo, up)
-    u, v = np.divmod(lo[:, 0].astype(np.int64), n)
-    c, ground = lo[:, 1], None
-    if wired and exterior:
-        level.append(GROUND)
-        u, v = np.append(u, list(exterior)), np.append(v, [n] * len(exterior))
-        c, ground = np.append(c, list(exterior.values())), n
-    return Network.from_arrays(level, u, v, c, pos[generator.origin], ground)
-
-
-def _check_listing(level: list, lower: np.ndarray, upper: np.ndarray) -> None:
-    """Raise unless every edge induced on ``level`` is listed once at each
-    end, with conductances equal to relative 1e-12 (see :func:`_level_network`)."""
-    lo, up = (a[np.argsort(a[:, 0])] for a in (lower, upper))
-    if lo.shape == up.shape and (lo[:, 0] == up[:, 0]).all() and (np.diff(lo[:, 0]) > 0).all():
-        bad = np.flatnonzero(np.abs(lo[:, 1] - up[:, 1]) > 1e-12 * np.abs(lo[:, 1]))
-        if not bad.size:
-            return
-        key = lo[bad[0], 0]
-    else:
-        n_lo, n_up = Counter(lo[:, 0].tolist()), Counter(up[:, 0].tolist())
-        key = min(key for key in n_lo | n_up if (n_lo[key], n_up[key]) != (1, 1))
-    x, y = (level[i] for i in divmod(int(key), len(level)))
-    at_x, at_y = (a[a[:, 0] == key, 1].tolist() for a in (lower, upper))
-    what = "duplicate edge" if max(len(at_x), len(at_y)) > 1 else "asymmetric neighbor rule at"
-    raise NetworkError(f"{what} ({x!r}, {y!r}): conductances {at_x} at {x!r}, {at_y} at {y!r}")
+    one ground vertex is appended that takes each vertex's exterior
+    conductance, in ascending level position."""
+    labels, u, v, c, exterior = generator.level(k)
+    labels = list(labels)
+    n = len(labels)
+    try:
+        origin = labels.index(generator.origin)
+    except ValueError:
+        raise NetworkError("origin is not contained in the level set") from None
+    ext = np.asarray(exterior)
+    if ext.shape != (n,) or ext.dtype.kind not in "iuf":
+        raise NetworkError(f"exterior must hold {n} numbers, one per vertex, got {ext.shape}")
+    bad = np.flatnonzero(~(np.isfinite(ext) & (ext >= 0)))
+    if bad.size:
+        j = bad[0]
+        raise NetworkError(
+            f"exterior conductance at {labels[j]!r} is {ext[j]}, need a finite number >= 0"
+        )
+    boundary, ground = np.flatnonzero(ext > 0), None
+    if wired and boundary.size:
+        if (np.asarray(u) == n).any() or (np.asarray(v) == n).any():
+            raise NetworkError(f"edge arrays must list integer positions 0..{n - 1}, one per edge")
+        labels.append(GROUND)
+        u, v = np.append(u, boundary), np.append(v, np.full(boundary.size, n))
+        c, ground = np.append(c, ext[boundary]), n
+    return Network.from_arrays(labels, u, v, c, origin, ground)
 
 
 def truncate(generator: GraphGenerator, k: int) -> Network:
@@ -138,7 +115,8 @@ class BinaryTreeGen(GraphGenerator):
 
     Labels are strings over {0, 1} prefixed by "r"; the root "r" is the
     origin and vertex depth is ``len(label) - 1``.  Level k holds all
-    vertices of depth at most k.
+    vertices of depth at most k, in heap order: the children of position
+    i are 2i + 1 (label + "0") and 2i + 2 (label + "1").
     """
 
     conductance: float = 1.0
@@ -150,20 +128,13 @@ class BinaryTreeGen(GraphGenerator):
     def origin(self) -> str:
         return "r"
 
-    def level(self, k: int) -> list[str]:
-        out = ["r"]
-        frontier = ["r"]
-        for _ in range(k):
-            frontier = [s + b for s in frontier for b in ("0", "1")]
-            out.extend(frontier)
-        return out
-
-    def neighbors(self, v: str) -> list[tuple[str, float]]:
-        c = self.conductance
-        out = [(v + "0", c), (v + "1", c)]
-        if len(v) > 1:
-            out.append((v[:-1], c))
-        return out
+    def level(self, k: int) -> tuple:
+        n, inner = 2 ** (k + 1) - 1, 2**k - 1
+        c = float(self.conductance)
+        exterior = np.zeros(n)
+        exterior[inner:] = c + c  # both children of a leaf lie outside
+        labels = ["r" + bin(i)[3:] for i in range(1, n + 1)]
+        return labels, np.repeat(np.arange(inner), 2), np.arange(1, n), np.full(n - 1, c), exterior
 
 
 @dataclass(frozen=True)
@@ -179,11 +150,12 @@ class IntegerLineGen(GraphGenerator):
     def origin(self) -> int:
         return 0
 
-    def level(self, k: int) -> list[int]:
-        return list(range(-k, k + 1))
-
-    def neighbors(self, v: int) -> list[tuple[int, float]]:
-        return [(v - 1, self.conductance), (v + 1, self.conductance)]
+    def level(self, k: int) -> tuple:
+        n, c = 2 * k + 1, float(self.conductance)
+        exterior = np.zeros(n)
+        exterior[[0, -1]] = c
+        labels = list(range(-k, k + 1))
+        return labels, np.arange(n - 1), np.arange(1, n), np.full(n - 1, c), exterior
 
 
 @dataclass(frozen=True)
@@ -204,19 +176,25 @@ class GeometricLineGen(GraphGenerator):
     def origin(self) -> int:
         return 0
 
-    def level(self, k: int) -> list[int]:
-        return list(range(k))
-
-    def neighbors(self, v: int) -> list[tuple[int, float]]:
+    def level(self, k: int) -> tuple:
+        powers: list = []
         try:
-            return [(w, float(self.ratio) ** min(v, w)) for w in (v + 1, v - 1) if w >= 0]
+            for i in range(k):
+                powers.append(float(self.ratio) ** i)
         except OverflowError:
-            raise NetworkError(f"conductance {self.ratio}**{v} overflows a float") from None
+            raise NetworkError(f"conductance {self.ratio}**{i} overflows a float") from None
+        exterior = np.zeros(k)
+        exterior[-1] = powers[-1]
+        return list(range(k)), np.arange(k - 1), np.arange(1, k), np.array(powers[:-1]), exterior
 
 
 @dataclass(frozen=True)
 class IntegerLatticeGen(GraphGenerator):
-    """d-dimensional integer lattice, unit conductances, graph-ball levels."""
+    """d-dimensional integer lattice, constant conductance, graph-ball levels.
+
+    Level k is the l1 ball of radius k in lexicographic order; the edges at
+    a vertex x go to x + e_0, ..., x + e_{d-1} in that order.
+    """
 
     d: int = 2
     conductance: float = 1.0
@@ -229,16 +207,32 @@ class IntegerLatticeGen(GraphGenerator):
     def origin(self) -> tuple:
         return (0,) * self.d
 
-    def level(self, k: int) -> list[tuple]:
-        # the l1 ball in lexicographic order, one coordinate at a time
-        out = [()]
-        for _ in range(self.d):
-            out = [p + (x,) for p in out for r in [k - sum(map(abs, p))] for x in range(-r, r + 1)]
-        return out
-
-    def neighbors(self, v: tuple) -> list[tuple[tuple, float]]:
-        c = self.conductance
-        return [(v[:a] + (v[a] + step,) + v[a + 1 :], c) for a in range(self.d) for step in (-1, 1)]
+    def level(self, k: int) -> tuple:
+        d, c = self.d, float(self.conductance)
+        # the ball one coordinate at a time: a point with room r left takes
+        # each next coordinate x in -r..r, leaving room r - |x|
+        pts, room = np.zeros((1, 0), np.int64), np.array([k])
+        for _ in range(d):
+            width = 2 * room + 1
+            rows = np.repeat(np.arange(room.size), width)
+            x = np.arange(rows.size) - (np.cumsum(width) - width)[rows] - room[rows]
+            pts, room = np.column_stack((pts[rows], x)), room[rows] - np.abs(x)
+        n = len(pts)
+        # packed key: base-(2k+1) digits of the shifted point, increasing in
+        # lexicographic order; Python integers where int64 would overflow
+        dtype = np.int64 if (2 * k + 1) ** d < 2**62 else object
+        place = (2 * k + 1) ** np.arange(d - 1, -1, -1).astype(dtype)
+        key = (pts + k).astype(dtype) @ place
+        ahead = np.full((n, d), -1)
+        for a in range(d):
+            inside = (room > 0) | (pts[:, a] < 0)
+            ahead[inside, a] = np.searchsorted(key, key[inside] + place[a])
+        # from the rim, a step leaves the ball unless it moves a coordinate
+        # toward zero: one step out per nonzero coordinate, two per zero one
+        at = np.repeat(np.arange(n), np.where(room == 0, d + (pts == 0).sum(axis=1), 0))
+        exterior = np.bincount(at, weights=np.full(at.size, c), minlength=n)
+        u, a = np.nonzero(ahead >= 0)
+        return list(zip(*pts.T.tolist())), u, ahead[u, a], np.full(u.size, c), exterior
 
 
 # -- finite builders -------------------------------------------------------
@@ -288,6 +282,8 @@ def random_network(
     randomized identity checks; deterministic for a fixed seed.
     """
     _check_count("random network vertex count", n, 2)
+    _check_nonnegative("extra_edges", extra_edges)
+    _check_positive("c_max", c_max)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     def draw_c() -> float:

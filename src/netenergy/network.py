@@ -26,6 +26,7 @@ instances can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from collections.abc import Mapping
 from functools import cached_property
@@ -284,12 +285,20 @@ def _label_index(labels) -> dict:
     return index
 
 
+def _check_nonnegative(name: str, value, error: type[Exception] = NetworkError) -> None:
+    """Raise ``error`` unless ``value`` is a finite real number >= 0; the one
+    rule for every ``tol``."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0):
+        raise error(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def is_harmonic(net: Network, u, tol: float = 1e-10, boundary=()) -> bool:
     """True iff ``max |lap u|`` over interior vertices is at most ``tol``.
 
     Interior means every vertex that is neither the ground nor listed in
     ``boundary``.
     """
+    _check_nonnegative("tol", tol)
     lap = net.laplacian(u)
     interior = net.interior_indices(boundary)
     if interior.size == 0:

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .energy import GramMatrix, _check_tol, _symmetric, energy_pairings, gram
-from .network import Network, NetworkError, label_key
+from .energy import GramMatrix, _symmetric, energy_pairings, gram
+from .network import Network, NetworkError, _check_nonnegative, label_key
 from .solvers import solve_dipoles
 
 #: Condition-number threshold past which inversions emit a warning.
@@ -53,6 +53,22 @@ class OperatorError(ValueError):
 
 class CoercivityError(OperatorError):
     """A quadratic form fell below the required lower bound."""
+
+
+def _real_array(value, shape: tuple, name: str) -> np.ndarray:
+    """A float copy of ``value``; raises OperatorError naming ``name`` unless
+    it is an array of finite real numbers of the given ``shape``."""
+    try:
+        a = np.array(value)  # a ragged nesting raises here
+        if a.dtype.kind not in "iuf":
+            raise ValueError
+    except ValueError:
+        raise OperatorError(f"{name} must be an array of real numbers") from None
+    if a.shape != shape:
+        raise OperatorError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise OperatorError(f"{name} has a non-finite entry")
+    return a.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -109,14 +125,7 @@ class LinOp:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (self.codomain.dim, self.domain.dim):
-            raise OperatorError(
-                f"operator matrix has shape {m.shape}, expected "
-                f"({self.codomain.dim}, {self.domain.dim})"
-            )
-        if not np.isfinite(m).all():
-            raise OperatorError("operator has a non-finite entry")
+        m = _real_array(self.matrix, (self.codomain.dim, self.domain.dim), "operator")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -172,7 +181,7 @@ def verify_pair(a: LinOp, b: LinOp, tol: float = 1e-10) -> SymmetricPairReport:
     containment test of A in B*: multiplied through by G1^{-1} the same
     matrix is the matrix of A* - B, so no adjoint needs to be formed.
     """
-    _check_tol(tol, OperatorError)
+    _check_nonnegative("tol", tol, OperatorError)
     if not a.domain.compatible(b.codomain) or not a.codomain.compatible(b.domain):
         raise OperatorError("pair spaces do not match: need A: H1 -> H2, B: H2 -> H1")
     lhs = a.matrix.T @ a.codomain.matrix
@@ -191,10 +200,8 @@ def _form(space: InnerSpace, a: LinOp, tol: float = 1e-10) -> np.ndarray:
 
 def _gram_argument(space: InnerSpace, value, name: str) -> np.ndarray:
     """A second Gram (GramMatrix or array) on the basis of ``space``, symmetrised."""
-    g = value.matrix if isinstance(value, GramMatrix) else np.asarray(value, dtype=float)
-    if g.shape != (space.dim, space.dim):
-        raise OperatorError(f"{name} has shape {g.shape}, expected ({space.dim}, {space.dim})")
-    return _symmetric(g, 1e-10, OperatorError, name)
+    g = value.matrix if isinstance(value, GramMatrix) else value
+    return _symmetric(_real_array(g, (space.dim, space.dim), name), 1e-10, OperatorError, name)
 
 
 def _bounded_below(space: InnerSpace, form: np.ndarray, c=1.0, vectors=False):
@@ -224,7 +231,7 @@ def operator_norm(a: LinOp) -> float:
 
 def pair_spectrum_check(a: LinOp, b: LinOp, tol: float = 1e-8) -> bool:
     """Nonzero spectra of A*A and B*B agree as multisets within ``tol``."""
-    _check_tol(tol, OperatorError)
+    _check_nonnegative("tol", tol, OperatorError)
     la = _spectrum_of_square(a)[::-1]
     lb = _spectrum_of_square(b)[::-1]
     top = max(
@@ -360,11 +367,7 @@ def dstar_constant(h1: InnerSpace, pairings) -> float:
     vectors d_i; the supremum is attained at the Riesz representer r
     solving G1 r = b, and C is the H1 norm of r.
     """
-    b = np.asarray(pairings, dtype=float)
-    if b.shape != (h1.dim,):
-        raise OperatorError(f"pairing vector has shape {b.shape}, expected ({h1.dim},)")
-    if not np.isfinite(b).all():
-        raise OperatorError("pairing vector has a non-finite entry")
+    b = _real_array(pairings, (h1.dim,), "pairing vector")
     r = h1.solve_gram(b)
     return float(np.sqrt(max(float(b @ r), 0.0)))
 
@@ -410,11 +413,7 @@ def spectral_measure(lam_op: LinOp, phi) -> SpectralMeasure:
     residual.
     """
     space = lam_op.domain
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (space.dim,):
-        raise OperatorError(f"phi has shape {phi.shape}, expected ({space.dim},)")
-    if not np.isfinite(phi).all():
-        raise OperatorError("phi has a non-finite entry")
+    phi = _real_array(phi, (space.dim,), "phi")
     form = _form(space, lam_op, 1e-8)
     lam, vec = sla.eigh(form, space.matrix)
     scale = 1.0 + float(np.abs(lam).max(initial=0.0))

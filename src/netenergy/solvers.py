@@ -32,9 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .energy import EnergyVector, _check_tol, energy_form, to_energy_vector
+from .energy import EnergyVector, energy_form, to_energy_vector
 from .generators import GraphGenerator, _check_count, truncate
-from .network import Network, NetworkError
+from .network import Network, NetworkError, _check_nonnegative
 
 #: Largest reduced system handed to the direct sparse factorization
 #: (symmetric minimum-degree ordering, diagonal pivots).
@@ -238,7 +238,7 @@ def _exhaust(generator, x, tol, k_max, stride=1, recurrence_ratio=math.inf):
         raise NetworkError(f"expected a generator, got {type(generator).__name__}")
     _check_count("k_max", k_max, 1)
     _check_count("stride", stride, 1)
-    _check_tol(tol, NetworkError)
+    _check_nonnegative("tol", tol)
     x = generator.origin if x is None else x
 
     rows = []

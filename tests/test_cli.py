@@ -576,3 +576,16 @@ def test_generate_counts_must_be_integers(params, msg, tmp_path, capsys):
     rc = main(argv + [x for p in params for x in ("--param", p)])
     assert rc == 1
     assert f"error: {msg}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "param, msg",
+    [
+        ("c_max=-1", "error: c_max must be a positive finite number, got -1"),
+        ("extra_edges=nan", "error: extra_edges must be a finite number >= 0, got nan"),
+        ("extra_edges=-1", "error: extra_edges must be a finite number >= 0, got -1"),
+    ],
+)
+def test_generate_random_parameters_are_checked(capsys, param, msg):
+    assert main(["generate", "--generator", "random", "--param", "n=6", "--param", param]) == 1
+    assert msg in capsys.readouterr().err

@@ -21,6 +21,7 @@ from netenergy import (
     form_operator_roundtrip,
     friedrichs,
     geometric_line,
+    is_harmonic,
     krein_lambda,
     lattice,
     network_kl,
@@ -140,3 +141,26 @@ def test_non_numbers_are_typed_errors():
     for c in ("x", None, np.nan):
         with pytest.raises(OperatorError, match="lower bound must be a finite number"):
             friedrichs(h, a, c=c)
+
+
+def test_tol_rule_in_is_harmonic():
+    net = path(3)
+    for tol in (np.nan, np.inf, -1.0):
+        with pytest.raises(NetworkError, match="tol must be a finite number >= 0"):
+            is_harmonic(net, np.zeros(3), tol=tol)
+    assert is_harmonic(net, np.zeros(3), tol=0.0)
+
+
+def test_operator_inputs_must_be_arrays_of_real_numbers():
+    h = InnerSpace.standard(2)
+    lam = krein_lambda(h, np.diag([1.0, 2.0]))
+    cases = [
+        ("phi", lambda: spectral_measure(lam, ["a", "b"])),
+        ("pairing vector", lambda: dstar_constant(h, ["a", "b"])),
+        ("second Gram", lambda: krein_lambda(h, [[1, 2], [3]])),
+        ("operator", lambda: LinOp(h, h, [[1.0, 0.0], [0.0, "x"]])),
+        ("operator", lambda: LinOp(h, h, [[True, False], [False, True]])),
+    ]
+    for name, call in cases:
+        with pytest.raises(OperatorError, match=f"{name} must be an array of real numbers"):
+            call()
