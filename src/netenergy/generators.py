@@ -297,7 +297,10 @@ def random_network(
         edges.append((v, parent, draw_c()))
         used.add((min(v, parent), max(v, parent)))
     n_extra = int(round(extra_edges * n))
+    n_pairs = n * (n - 1) // 2
     for _ in range(n_extra):
+        if len(used) == n_pairs:
+            break  # complete: every further draw would be refused
         u = int(rng.integers(0, n))
         v = int(rng.integers(0, n))
         if u == v:

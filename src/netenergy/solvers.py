@@ -8,13 +8,23 @@ full system to be consistent.
 
 Harmonic extensions (:func:`harmonic_space`, :func:`royden_project`) are
 the same kind of system with a boundary set pinned instead: the Dirichlet
-problem on the vertices off the boundary.  A reduced system is factored
-once per network and pinned set and reused for every right-hand side.  The
-factorization is a sparse LU ordered by minimum degree on A + A^T with its
-pivots taken from the diagonal, which is safe because every reduced system
-is symmetric positive definite (a nonempty pinned set on a connected
-network).  Above ``DIRECT_LIMIT`` unknowns a Jacobi preconditioned
-conjugate-gradient iteration is used instead, for both kinds of solve.
+problem on the vertices off the boundary.  Every reduced system is
+symmetric positive definite (a nonempty pinned set on a connected network),
+and one is built once per network and pinned set.  Its n unknowns and the
+number of right-hand sides choose how it is solved:
+
+- one column, n <= ``DIRECT_LIMIT`` and no factor yet: Jacobi preconditioned
+  conjugate gradients (CG) to relative residual 1e-12 within ceil(sqrt(n))
+  iterations, about sqrt(n) * nnz work, the order of a 2-d factorization.
+  When CG converges that is the answer; 3-d lattices and trees do.
+- a CG miss (2-d lattices and lines past their first levels), or several
+  columns: the system is factored once and every later solve on it uses
+  the factor.  The factor is a sparse LU ordered by minimum degree on
+  A + A^T with its pivots taken from the diagonal, which positive
+  definiteness makes safe.
+- n > ``DIRECT_LIMIT``: CG column by column, up to scipy's default 10 n
+  iterations.  There, and for any CG breakdown, not converging is a
+  :class:`SolverError`, never a fallback.
 
 Solvers return :class:`~netenergy.energy.EnergyVector` classes where the
 result is an energy-space element (dipoles, projections); raw potentials
@@ -36,8 +46,9 @@ from .energy import EnergyVector, energy_form, to_energy_vector
 from .generators import GraphGenerator, _check_count, truncate
 from .network import Network, NetworkError, _check_nonnegative
 
-#: Largest reduced system handed to the direct sparse factorization
-#: (symmetric minimum-degree ordering, diagonal pivots).
+#: Largest reduced system that may be factored (symmetric minimum-degree
+#: ordering, diagonal pivots).  At or below it a one-column solve tries CG
+#: within ceil(sqrt(n)) iterations first; above it every solve is CG.
 DIRECT_LIMIT = 10_000
 
 #: Default absolute tolerance on successive monopole energies.
@@ -60,7 +71,11 @@ _solver_cache: "weakref.WeakKeyDictionary[Network, dict]" = weakref.WeakKeyDicti
 def _reduced_solver(net: Network, pinned=None):
     """(keep, solve) for the Laplacian with the ``pinned`` rows and columns
     deleted: a boundary index set, by default the ground (else the origin).
-    ``solve`` takes the right-hand sides as the columns of a 2-d array."""
+    ``solve`` takes the right-hand sides as the columns of an (net.n, m)
+    array, reads only their ``keep`` rows, and returns the (keep.size, m)
+    solution.  It picks its rows after any factorization, so the factor's
+    working memory is taken before the reduced copy of a wide right-hand
+    side."""
     if pinned is None:
         pinned = [net.origin_index if net.ground_index is None else net.ground_index]
     pinned = tuple(sorted(set(pinned)))
@@ -70,33 +85,46 @@ def _reduced_solver(net: Network, pinned=None):
     keep = np.delete(np.arange(net.n), pinned)
     lap = net.laplacian_matrix.tocsc()
     red = lap[keep, :][:, keep]
-    if keep.size == 0:
-        def solve(b):
-            return np.zeros_like(b)
-    elif keep.size <= DIRECT_LIMIT:
-        try:
-            # SPD: minimum degree on A + A^T, pivots from the diagonal
-            lu = spla.splu(
-                red,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:
-            raise SolverError(f"reduced system is singular: {exc}") from exc
-        solve = lu.solve
-    else:
-        diag = red.diagonal()
-        precond = sp.diags(1.0 / diag)
+    n = keep.size
+    direct = n <= DIRECT_LIMIT
+    budget = math.ceil(math.sqrt(n))  # CG iterations before a one-column solve factors
+    lu = precond = None
 
-        def solve(b):
-            def one(col):
-                x, info = spla.cg(red, col, M=precond, rtol=1e-12, atol=0.0)
-                if info != 0:
-                    raise SolverError(f"conjugate gradient did not converge (info={info})")
-                return x
+    def cg(col, maxiter):
+        """Jacobi CG to rtol 1e-12, or None when ``maxiter`` runs out."""
+        nonlocal precond
+        if precond is None:
+            precond = sp.diags(1.0 / red.diagonal())
+        x, info = spla.cg(red, col, M=precond, rtol=1e-12, atol=0.0, maxiter=maxiter)
+        if info < 0 or (info > 0 and maxiter is None):
+            raise SolverError(f"conjugate gradient did not converge (info={info})")
+        return x if info == 0 else None
 
-            return np.column_stack([one(b[:, j]) for j in range(b.shape[1])])
+    def solve(b):
+        nonlocal lu
+        if n == 0:
+            return np.zeros((0, b.shape[1]))
+        if not direct:
+            x = np.empty((n, b.shape[1]))
+            for j in range(b.shape[1]):
+                x[:, j] = cg(b[keep, j], None)
+            return x
+        if lu is None and b.shape[1] == 1:
+            x = cg(b[keep, 0], budget)
+            if x is not None:
+                return x[:, None]
+        if lu is None:
+            try:
+                # SPD: minimum degree on A + A^T, pivots from the diagonal
+                lu = spla.splu(
+                    red,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError as exc:
+                raise SolverError(f"reduced system is singular: {exc}") from exc
+        return lu.solve(b[keep])
 
     cache[pinned] = (keep, solve)
     return keep, solve
@@ -129,7 +157,7 @@ def solve_grounded(net: Network, rhs) -> np.ndarray:
 
     keep, solve = _reduced_solver(net)
     out = np.zeros_like(cols)
-    out[keep, :] = solve(cols[keep, :]).reshape(keep.size, -1)
+    out[keep, :] = solve(cols)
     return out[:, 0] if arr.ndim == 1 else out
 
 
@@ -323,7 +351,7 @@ def _harmonic_extension(net: Network, b_idx: list, data: np.ndarray) -> np.ndarr
     u = np.zeros((net.n, data.shape[1]))
     u[b_idx] = data
     lap = net.laplacian_matrix.tocsc()
-    u[keep] = solve(-(lap[keep, :][:, b_idx] @ data))
+    u[keep] = solve(-(lap[:, b_idx] @ data))
     return u
 
 

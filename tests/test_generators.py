@@ -358,3 +358,12 @@ def test_random_network_parameters_are_checked(kwargs, msg):
     with pytest.raises(NetworkError, match=re.escape(msg)):
         random_network(5, **kwargs)
     assert random_network(5, extra_edges=0).n_edges == 4  # a tree
+
+
+@pytest.mark.parametrize("extra_edges", [2e5, 1e300])
+def test_random_network_stops_drawing_once_complete(extra_edges):
+    # a million and 5e300 candidate draws: the loop must stop at K5
+    net = random_network(5, seed=1, extra_edges=extra_edges)
+    heads, tails, _ = net.edge_arrays
+    pairs = {tuple(sorted(map(int, e))) for e in zip(heads, tails)}
+    assert net.n_edges == 10 and len(pairs) == 10

@@ -350,27 +350,48 @@ def factors(monkeypatch):
     return out
 
 
-def test_royden_factors_once_per_boundary(factors, rng):
+@pytest.fixture
+def cg_calls(monkeypatch):
+    """The maxiter of every conjugate-gradient run during the test."""
+    out = []
+    cg = spla.cg
+
+    def counting_cg(*args, **kwargs):
+        out.append(kwargs.get("maxiter"))
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counting_cg)
+    return out
+
+
+def test_royden_factors_once_per_boundary(factors, cg_calls, rng):
     net = truncate(BinaryTreeGen(), 4)
     boundary = [lbl for lbl in net.labels if lbl != net.ground and len(lbl) == 5]
+    harmonic_space(net, boundary)  # several columns: the factor is built
+    # one column on a factored system: no CG, whatever the boundary order
     for order in (boundary, boundary[::-1], boundary):
         royden_project(net, rng.standard_normal(net.n), boundary=order)
     harmonic_space(net, boundary)
-    assert len(factors) == 1
-    solve_grounded(net, net.delta("r"))  # the ground is a different pinned set
+    assert len(factors) == 1 and cg_calls == []
+    # the ground is a different pinned set
+    solve_grounded(net, rng.standard_normal((net.n, 2)))
     assert len(factors) == 2
+    solve_grounded(net, net.delta("r"))
+    assert len(factors) == 2 and cg_calls == []
 
 
 # -- the direct path: symmetric ordering, diagonal pivots -------------------
 
 
 def test_direct_path_fill_and_accuracy(factors, rng):
+    # two right-hand sides per system: a one-column solve may end in CG
     z3 = truncate(IntegerLatticeGen(d=3), 11)
-    effective_resistance(z3, z3.origin, z3.ground)
+    solve_grounded(z3, rng.standard_normal((z3.n, 2)))
     tree = truncate(BinaryTreeGen(), 8)
-    effective_resistance(tree, "r", tree.ground)
+    solve_grounded(tree, rng.standard_normal((tree.n, 2)))
     net = random_network(300, seed=7)
-    effective_resistance(net, net.origin, net.labels[-1])
+    rhs = rng.standard_normal((net.n, 2))
+    solve_grounded(net, rhs - rhs.mean(axis=0))
     harmonic_space(tree, _deepest_and_ground(tree))
     assert len(factors) == 4
 
@@ -392,3 +413,69 @@ def test_failed_factorization_is_solver_error(monkeypatch):
     net = truncate(BinaryTreeGen(), 2)
     with pytest.raises(SolverError, match="singular"):
         solve_grounded(net, net.delta("r"))
+
+
+# -- one column below DIRECT_LIMIT: CG within ceil(sqrt(n)) iterations -------
+
+
+def _reduced_residual(net, u, b):
+    keep = np.delete(np.arange(net.n), net.ground_index)
+    r = (net.laplacian_matrix @ u - b)[keep]
+    return np.linalg.norm(r) / np.linalg.norm(b[keep])
+
+
+def test_one_column_on_z3_converges_without_a_factor(factors, cg_calls):
+    z3 = truncate(IntegerLatticeGen(d=3), 11)
+    b = z3.delta(z3.origin)
+    u = solve_grounded(z3, b)
+    assert factors == [] and cg_calls == [math.ceil(math.sqrt(z3.n - 1))]
+    assert _reduced_residual(z3, u, b) <= 1e-12
+    # the factored answer, from a fresh network and two columns
+    fresh = truncate(IntegerLatticeGen(d=3), 11)
+    lu_u = solve_grounded(fresh, np.column_stack([b, b]))[:, 0]
+    assert len(factors) == 1
+    np.testing.assert_allclose(u, lu_u, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "gen, k", [(IntegerLineGen(), 200), (IntegerLatticeGen(d=2), 40)], ids=["line-200", "Z2-40"]
+)
+def test_budget_miss_factors_once_and_returns_the_factor_bits(factors, cg_calls, gen, k):
+    net = truncate(gen, k)
+    keep = np.delete(np.arange(net.n), net.ground_index)
+    b = net.delta(net.origin)
+    u = solve_grounded(net, b)
+    assert len(cg_calls) == 1 and len(factors) == 1
+    lu = factors[0][1]
+    np.testing.assert_array_equal(u[keep], lu.solve(b[keep, None])[:, 0])
+    # a missed system goes straight to its factor: no second CG run
+    v = solve_grounded(net, net.delta(net.labels[1]))
+    assert len(cg_calls) == 1 and len(factors) == 1
+    np.testing.assert_array_equal(v[keep], lu.solve(net.delta(net.labels[1])[keep, None])[:, 0])
+
+
+def test_cg_breakdown_below_direct_limit_is_solver_error(monkeypatch):
+    monkeypatch.setattr(spla, "cg", lambda a, b, **kw: (np.zeros_like(b), -1))
+
+    def no_splu(*args, **kwargs):
+        pytest.fail("a CG breakdown fell back to a sparse LU")
+
+    monkeypatch.setattr(spla, "splu", no_splu)
+    net = truncate(BinaryTreeGen(), 3)
+    with pytest.raises(SolverError, match=r"did not converge \(info=-1\)"):
+        solve_grounded(net, net.delta("r"))
+
+
+def test_zero_right_hand_sides(monkeypatch):
+    # above DIRECT_LIMIT: the binary tree at k=14 has 32,767 unknowns
+    assert solve_dipoles(truncate(BinaryTreeGen(), 14), []) == []
+    net = truncate(BinaryTreeGen(), 3)
+    assert solve_dipoles(net, []) == []
+    # a single vertex: the reduced system has no unknowns
+    alone = Network([], origin="a", vertices=["a"])
+    assert solve_grounded(alone, np.zeros((1, 0))).shape == (1, 0)
+    assert solve_dipoles(alone, ["a"])[0].values.tolist() == [0.0]
+    for limit in (solvers.DIRECT_LIMIT, 3):
+        monkeypatch.setattr(solvers, "DIRECT_LIMIT", limit)
+        fresh = truncate(BinaryTreeGen(), 3)
+        assert solve_grounded(fresh, np.zeros((fresh.n, 0))).shape == (fresh.n, 0)
